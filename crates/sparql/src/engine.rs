@@ -18,7 +18,7 @@ use parambench_rdf::term::Term;
 
 use crate::ast::{Element, Expr, Projection, SelectQuery, TriplePattern, VarOrTerm};
 use crate::cardinality::Estimator;
-use crate::error::QueryError;
+use crate::error::{ExecError, QueryError};
 use crate::exec::{ExecConfig, ExecStats, OrderExec, UNBOUND};
 use crate::modifiers::{
     Distinct, GroupFold, OrderedGroupFold, RowKeys, Slice, SortedDistinct, TopK,
@@ -29,11 +29,11 @@ use crate::physical::{
     LeftOuterJoin, ParallelSource, Project, UnionAll,
 };
 use crate::plan::{
-    ModifierPlan, PlanNode, PlanSignature, PlannedPattern, Slot, SpillMode, TableColSource,
+    AggregatePlan, ModifierPlan, PlanNode, PlanSignature, PlannedPattern, Slot, SpillMode,
+    TableColSource,
 };
 use crate::results::{
-    decode_bindings, finalize_bindings, finalize_table, table_from_bindings, table_from_groups,
-    OutVal, ResultSet,
+    finalize_bindings, finalize_table, table_from_bindings, table_from_groups, OutVal, ResultSet,
 };
 use crate::spill::{ExternalGroupFold, ExternalSorter, SortedRows};
 use crate::template::{Binding, QueryTemplate};
@@ -125,7 +125,8 @@ impl Prepared {
     }
 }
 
-/// Result of executing a prepared query.
+/// Result of executing a prepared query: a [`RowStream`] drained by
+/// [`RowStream::collect_output`].
 #[derive(Debug, Clone)]
 pub struct QueryOutput {
     /// The decoded result table.
@@ -158,33 +159,17 @@ impl<'a> Pipeline<'a> {
     }
 }
 
-/// What remains of the plain (non-aggregate) modifier epilogue after the
-/// streaming operators are stacked — produced by `Engine::plain_tail`,
-/// consumed either all at once (`Engine::finish_plain`) or incrementally
-/// ([`Engine::stream`]).
-enum PlainTail<'a> {
-    /// The operator already emits final rows in final order (projection,
-    /// streaming DISTINCT, Slice/TopK applied) — drain and decode.
-    Rows(BoxedOperator<'a>),
-    /// The external merge sort's streaming cursor (ORDER BY without LIMIT
-    /// under a memory budget), with `skip` OFFSET rows still to drop.
-    Sorted { merged: SortedRows<'a>, cols: Vec<usize>, skip: usize },
-    /// A materializing path (sort-aware DISTINCT, the in-memory full
-    /// sort) — already finalized.
-    Table(ResultSet),
-}
-
-/// An incrementally drained query result: the serving layer's per-client
-/// output. Rows stream straight off the batched Volcano pipeline (or the
+/// An incrementally drained query result — the engine's one execution
+/// driver. Rows stream straight off the batched Volcano pipeline (or the
 /// external merge sort's run cursor) as the consumer pulls — a client
 /// reading the first rows of a large result never materializes the rest.
 /// Materializing shapes (aggregation, the in-memory full sort, DISTINCT
-/// under unprojected sort keys) still compute their table up front at
+/// under unprojected sort keys) compute their table up front at
 /// construction and stream the finished rows out.
 ///
-/// The same epilogue decisions as [`Engine::execute`] drive it (they share
-/// one implementation), so the streamed rows, their order and the final
-/// [`ExecStats`] are bit-identical to the materialized run's.
+/// [`Engine::execute`] is this stream drained by
+/// [`RowStream::collect_output`], so streamed rows, their order and the
+/// final [`ExecStats`] are those of the materialized run by construction.
 pub struct RowStream<'a> {
     ds: &'a Dataset,
     columns: Vec<String>,
@@ -206,12 +191,25 @@ enum StreamInner<'a> {
         row: Vec<Id>,
         done: bool,
     },
-    /// The external merge sort's cursor.
+    /// The external merge sort's cursor, with `skip` OFFSET rows still to
+    /// drop.
     Sorted { merged: SortedRows<'a>, cols: Vec<usize>, skip: usize },
-    /// Materialized rows (aggregation and the other blocking shapes).
+    /// Materialized rows (aggregation, the other blocking shapes, LIMIT 0).
     Table(std::vec::IntoIter<Vec<OutVal>>),
-    /// Trivially empty (LIMIT 0).
-    Done,
+}
+
+impl<'a> StreamInner<'a> {
+    /// Streams `op`, whose rows are already final (projection, streaming
+    /// DISTINCT, Slice/TopK applied), decoding the output columns of `m`.
+    fn pipeline(op: BoxedOperator<'a>, m: &ModifierPlan) -> Self {
+        let cols = Engine::out_cols(m, op.schema());
+        let row = vec![UNBOUND; op.schema().len()];
+        StreamInner::Pipeline { op, cols, batch: None, next: 0, row, done: false }
+    }
+
+    fn table(results: ResultSet) -> Self {
+        StreamInner::Table(results.rows.into_iter())
+    }
 }
 
 /// Final accounting of a drained [`RowStream`] (see [`RowStream::finish`]).
@@ -232,10 +230,12 @@ impl<'a> RowStream<'a> {
     }
 
     /// Pulls the next result row, or `None` when the stream is exhausted.
+    /// A runtime failure of the pipeline is returned as
+    /// [`QueryError::Exec`] — never as a clean end-of-stream — and ends
+    /// the stream.
     pub fn next_row(&mut self) -> Result<Option<Vec<OutVal>>, QueryError> {
         let RowStream { ds, inner, stats, .. } = self;
         match inner {
-            StreamInner::Done => Ok(None),
             StreamInner::Table(rows) => Ok(rows.next()),
             StreamInner::Sorted { merged, cols, skip } => loop {
                 match merged.next_row()? {
@@ -260,23 +260,12 @@ impl<'a> RowStream<'a> {
                         return Ok(Some(Engine::decode_cols(cols, row, ds)));
                     }
                     stats.shrink(b.len());
-                    *batch = None;
                 }
-                match op.next_batch(stats) {
-                    Some(b) => {
-                        *next = 0;
-                        *batch = Some(b);
-                    }
-                    None => {
-                        *done = true;
-                        // An operator that hit an invariant violation stops
-                        // producing and records the error; surface it
-                        // instead of a clean end-of-stream.
-                        if let Some(err) = stats.exec_error.take() {
-                            return Err(QueryError::Exec(err));
-                        }
-                    }
-                }
+                // An exhausted or failed pipeline is never pulled again.
+                let pulled = op.next_batch(stats);
+                *done = !matches!(pulled, Ok(Some(_)));
+                *batch = pulled?;
+                *next = 0;
             },
         }
     }
@@ -290,9 +279,9 @@ impl<'a> RowStream<'a> {
         StreamEnd { cout, wall_time: self.started.elapsed(), stats: self.stats }
     }
 
-    /// Drains every remaining row into a [`QueryOutput`] — the bridge back
-    /// to the materialized API (and the differential anchor: this must
-    /// equal [`Engine::execute`]'s output bit for bit).
+    /// Drains every remaining row into a [`QueryOutput`] — the bridge to
+    /// the materialized API: [`Engine::execute_with`] is exactly
+    /// `stream(..)?.collect_output()`.
     pub fn collect_output(mut self) -> Result<QueryOutput, QueryError> {
         let mut rows = Vec::new();
         while let Some(r) = self.next_row()? {
@@ -394,6 +383,32 @@ fn rebind_expr(cached: &mut Expr, tmpl: &Expr, binding: &Binding) {
         }
         _ => {}
     }
+}
+
+/// The order- and budget-dependent decisions of one run, derived once
+/// per query from the plan's delivered order and the execution config
+/// (never from the thread count) and read by the pipeline builder, the
+/// modifier epilogue and [`Engine::explain_physical`] alike, so they
+/// cannot drift apart.
+struct RunShape<'p> {
+    /// The delivered order the epilogue may rely on (empty under
+    /// [`OrderExec::Off`]).
+    delivered: &'p [usize],
+    /// `ORDER BY ... DESC` served by run-reversed iteration of one bare
+    /// scan: (pattern, index order, run components) — see
+    /// [`Engine::desc_elimination`].
+    desc_scan: Option<(&'p PlannedPattern, Option<IndexOrder>, usize)>,
+    /// Aggregation folds one group at a time: the group slots are a prefix
+    /// permutation of the delivered order and the run is unbudgeted.
+    /// Serial pipelines only; a parallel source keeps its worker-side fold.
+    ordered_fold: bool,
+    /// The final sort disappears: rows arrive in final ORDER BY order by
+    /// ascending delivery (the value-ordered dictionary makes ascending ids
+    /// ascending ORDER BY values) or by the descending scan — for
+    /// aggregates, only on the ordered fold.
+    sort_elim: bool,
+    /// How the blocking stages lower under the memory budget.
+    spill: SpillMode,
 }
 
 /// The query engine over one frozen dataset.
@@ -758,6 +773,22 @@ impl<'a> Engine<'a> {
         })
     }
 
+    /// Derives the [`RunShape`] of one run of `prepared` under `exec`.
+    fn run_shape<'p>(&self, prepared: &'p Prepared, exec: &ExecConfig) -> RunShape<'p> {
+        let m = &prepared.modifiers;
+        let order_on = exec.order_exec != OrderExec::Off;
+        let delivered: &[usize] = if order_on { &prepared.delivered_order } else { &[] };
+        let desc_scan = self.desc_elimination(prepared, exec);
+        let spill = m.spill_mode(prepared.est_result_card, exec.mem_budget_rows);
+        let ordered_fold = order_on
+            && spill == SpillMode::InMemory
+            && m.aggregate.as_ref().is_some_and(|agg| Self::clustered(delivered, &agg.group_slots));
+        let in_final_order =
+            (order_on && self.order_satisfied(m, delivered)) || desc_scan.is_some();
+        let sort_elim = in_final_order && (m.aggregate.is_none() || ordered_fold);
+        RunShape { delivered, desc_scan, ordered_fold, sort_elim, spill }
+    }
+
     /// Lowers the prepared query's pattern part (BGP + UNION + OPTIONAL +
     /// FILTER) to the streaming operator pipeline, without any modifier
     /// operators.
@@ -772,8 +803,9 @@ impl<'a> Engine<'a> {
         &self,
         prepared: &Prepared,
         exec: &ExecConfig,
+        shape: &RunShape<'_>,
         stats: &mut ExecStats,
-    ) -> Pipeline<'a> {
+    ) -> Result<Pipeline<'a>, ExecError> {
         // Plain LIMIT queries (no aggregation, no unsatisfied ORDER BY)
         // are output-bound: the serial Slice stops batch-granularly after
         // ~`limit` rows, while parallel early exit is wave-granular — up to
@@ -784,39 +816,38 @@ impl<'a> Engine<'a> {
         // the fan-out is pure gain. (Shape-and-config derived,
         // thread-independent: the determinism guarantee is unaffected.)
         let m = &prepared.modifiers;
-        let sort_gone = m.order_by.is_empty() || self.sort_eliminated(prepared, exec);
-        let output_bound = m.aggregate.is_none() && sort_gone && m.limit.is_some();
-        let desc_scan = self.desc_elimination(prepared, exec);
-        let base = prepared.bgp_plan.as_ref().map(|plan| {
+        let output_bound = m.aggregate.is_none()
+            && (m.order_by.is_empty() || shape.sort_elim)
+            && m.limit.is_some();
+        let base = match (&prepared.bgp_plan, shape.desc_scan) {
+            (None, _) => None,
             // ORDER BY ... DESC served by the index: the bare scan lowers
             // to run-reversed descending iteration (inherently serial) and
             // the epilogue's sort disappears, mirroring the ascending
             // elimination.
-            if let Some((pattern, order, runs)) = desc_scan {
-                let scan: BoxedOperator<'_> =
-                    Box::new(IndexScan::descending(self.ds, pattern, order, runs));
-                return Pipeline::Serial(scan);
+            (Some(_), Some((pattern, order, runs))) => Some(Pipeline::Serial(Box::new(
+                IndexScan::descending(self.ds, pattern, order, runs),
+            ))),
+            (Some(plan), None) => {
+                let parallel = if output_bound {
+                    None
+                } else {
+                    plan.lower_parallel(self.ds, CoutBucket::Required, exec, stats)?
+                };
+                Some(match parallel {
+                    Some(src) => Pipeline::Parallel(src),
+                    None => {
+                        Pipeline::Serial(plan.lower(self.ds, CoutBucket::Required, exec.order_exec))
+                    }
+                })
             }
-            let parallel = if output_bound {
-                None
-            } else {
-                plan.lower_parallel(self.ds, CoutBucket::Required, exec, stats)
-            };
-            match parallel {
-                Some(src) => Pipeline::Parallel(src),
-                None => Pipeline::Serial(plan.lower_with(
-                    self.ds,
-                    CoutBucket::Required,
-                    exec.order_exec,
-                )),
-            }
-        });
+        };
         if prepared.unions.is_empty()
             && prepared.optionals.is_empty()
             && prepared.filters.is_empty()
         {
             if let Some(base) = base {
-                return base;
+                return Ok(base);
             }
         }
         let mut op: Option<BoxedOperator<'_>> = base.map(Pipeline::into_operator);
@@ -824,7 +855,7 @@ impl<'a> Engine<'a> {
         for u in &prepared.unions {
             let mut branches: Vec<BoxedOperator<'_>> = Vec::with_capacity(u.branches.len());
             for (plan, branch_filters) in &u.branches {
-                let mut branch = plan.lower_with(self.ds, CoutBucket::Required, exec.order_exec);
+                let mut branch = plan.lower(self.ds, CoutBucket::Required, exec.order_exec);
                 if !branch_filters.is_empty() {
                     branch = Box::new(FilterEval::new(
                         branch,
@@ -853,7 +884,7 @@ impl<'a> Engine<'a> {
         let mut op = op.expect("prepare guarantees a base");
 
         for opt in &prepared.optionals {
-            let mut right = opt.plan.lower_with(self.ds, CoutBucket::Optional, exec.order_exec);
+            let mut right = opt.plan.lower(self.ds, CoutBucket::Optional, exec.order_exec);
             if !opt.filters.is_empty() {
                 right = Box::new(FilterEval::new(
                     right,
@@ -873,12 +904,13 @@ impl<'a> Engine<'a> {
                 self.ds,
             ));
         }
-        Pipeline::Serial(op)
+        Ok(Pipeline::Serial(op))
     }
 
-    /// Executes a prepared query through the batched Volcano pipeline (the
-    /// default path), with the solution modifiers **pushed into the
-    /// physical layer** wherever their combination allows:
+    /// Executes a prepared query and drains it: exactly [`Engine::stream`]
+    /// followed by [`RowStream::collect_output`], under the engine's
+    /// default [`ExecConfig`]. The solution modifiers are **pushed into
+    /// the physical layer** wherever their combination allows:
     ///
     /// * aggregation folds batches into per-group accumulators as they
     ///   stream (`GroupFold`) — the grouped input is never materialized;
@@ -891,7 +923,7 @@ impl<'a> Engine<'a> {
     /// under unprojected sort keys) fall back to the solution-table path at
     /// the result boundary, which sorts by per-row precomputed keys.
     pub fn execute(&self, prepared: &Prepared) -> Result<QueryOutput, QueryError> {
-        self.run(prepared, true, &self.exec)
+        self.execute_with(prepared, &self.exec)
     }
 
     /// Executes with an explicit [`ExecConfig`], overriding the engine's
@@ -904,7 +936,7 @@ impl<'a> Engine<'a> {
         prepared: &Prepared,
         exec: &ExecConfig,
     ) -> Result<QueryOutput, QueryError> {
-        self.run(prepared, true, exec)
+        self.stream(prepared, exec)?.collect_output()
     }
 
     /// Executes with every solution modifier applied **after** full
@@ -914,59 +946,28 @@ impl<'a> Engine<'a> {
     /// measured against this path in `benches/engine.rs` and the
     /// integration suite.
     pub fn execute_unpushed(&self, prepared: &Prepared) -> Result<QueryOutput, QueryError> {
-        self.run(prepared, false, &self.exec)
-    }
-
-    fn run(
-        &self,
-        prepared: &Prepared,
-        push: bool,
-        exec: &ExecConfig,
-    ) -> Result<QueryOutput, QueryError> {
         let start = Instant::now();
         let mut stats = ExecStats::default();
-        // LIMIT 0 is provably empty on every pushed path: skip all
-        // execution before the pipeline (and any eager shared hash builds)
-        // exists, so nothing is ever scanned.
-        if push && prepared.modifiers.limit == Some(0) {
-            let results = ResultSet { columns: prepared.modifiers.out_names(), rows: Vec::new() };
-            return Ok(QueryOutput { results, wall_time: start.elapsed(), cout: 0, stats });
-        }
-        let pipeline = self.build_pipeline(prepared, exec, &mut stats);
-        let results = if push {
-            self.finish_pushed(prepared, pipeline, exec, &mut stats)?
-        } else {
-            // Baseline: project to the needed columns, drain everything,
-            // then run the whole modifier stack on the materialized table.
-            let m = &prepared.modifiers;
-            let op = pipeline.into_operator();
-            let needed = m.input_slots();
-            let op = if needed.len() < op.schema().len() {
-                Box::new(Project::new(op, &needed)) as BoxedOperator<'_>
-            } else {
-                op
-            };
-            let bindings = physical::drain(op, &mut stats);
-            finalize_bindings(&bindings, m, self.ds, &mut stats)?
-        };
-        // A pipeline invariant violation (ExecStats::exec_error) outranks
-        // whatever rows were drained: the operator protocol has no Result
-        // channel, so the error surfaces here, at the run boundary.
-        if let Some(err) = stats.exec_error.take() {
-            return Err(QueryError::Exec(err));
-        }
-        let wall_time = start.elapsed();
+        let m = &prepared.modifiers;
+        let shape = self.run_shape(prepared, &self.exec);
+        let pipeline = self.build_pipeline(prepared, &self.exec, &shape, &mut stats)?;
+        // Project to the needed columns, drain everything, then run the
+        // whole modifier stack on the materialized table.
+        let op = Self::project(pipeline.into_operator(), &m.input_slots());
+        let bindings = physical::drain(op, &mut stats)?;
+        let results = finalize_bindings(&bindings, m, self.ds, &mut stats)?;
         let cout = stats.cout + stats.cout_optional;
-        Ok(QueryOutput { results, wall_time, cout, stats })
+        Ok(QueryOutput { results, wall_time: start.elapsed(), cout, stats })
     }
 
     /// Executes a prepared query as an incrementally drained [`RowStream`]
-    /// (the serving layer's per-client result). The pipeline-shape and
-    /// modifier decisions are shared with [`Engine::execute`]'s pushed
-    /// path, so the streamed rows, their order and the final stats are
-    /// bit-identical to the materialized run's; shapes that must
-    /// materialize (aggregation, in-memory full sorts, sort-aware
-    /// DISTINCT) compute their table here and stream the finished rows.
+    /// (the serving layer's per-client result) — the engine's one
+    /// execution driver: [`Engine::execute`] is this stream, collected.
+    /// Shapes that must materialize (aggregation, in-memory full sorts,
+    /// sort-aware DISTINCT) compute their table here and stream the
+    /// finished rows. A runtime failure (spill I/O, a checked pipeline
+    /// invariant) surfaces as [`QueryError::Exec`], from here or from
+    /// [`RowStream::next_row`].
     ///
     /// The stream borrows only the dataset, not the engine or the
     /// `Prepared` — a per-request engine value can be dropped while its
@@ -979,271 +980,146 @@ impl<'a> Engine<'a> {
         let started = Instant::now();
         let mut stats = ExecStats::default();
         let m = &prepared.modifiers;
-        let columns = m.out_names();
-        // Same LIMIT-0 short-circuit as `run`: nothing is ever scanned.
-        if m.limit == Some(0) {
-            return Ok(RowStream {
-                ds: self.ds,
-                columns,
-                inner: StreamInner::Done,
-                stats,
-                started,
-            });
-        }
-        let pipeline = self.build_pipeline(prepared, exec, &mut stats);
-        let inner = if m.aggregate.is_some() {
-            // Aggregation materializes its groups regardless; reuse the
-            // pushed epilogue wholesale and stream the finished table.
-            let results = self.finish_pushed(prepared, pipeline, exec, &mut stats)?;
-            StreamInner::Table(results.rows.into_iter())
+        let inner = if m.limit == Some(0) {
+            // LIMIT 0 is provably empty: skip all execution before the
+            // pipeline (and any eager shared hash builds) exists, so
+            // nothing is ever scanned.
+            StreamInner::Table(Vec::new().into_iter())
         } else {
-            let order_on = exec.order_exec != OrderExec::Off;
-            let sort_elim = order_on
-                && (self.order_satisfied(m, &prepared.delivered_order)
-                    || self.desc_elimination(prepared, exec).is_some());
-            let delivered: &[usize] = if order_on { &prepared.delivered_order } else { &[] };
-            match self.plain_tail(prepared, pipeline, exec, &mut stats, sort_elim, delivered)? {
-                PlainTail::Rows(op) => {
-                    let cols = Self::out_cols(m, op.schema());
-                    let row = vec![UNBOUND; op.schema().len()];
-                    StreamInner::Pipeline { op, cols, batch: None, next: 0, row, done: false }
-                }
-                PlainTail::Sorted { merged, cols, skip } => {
-                    StreamInner::Sorted { merged, cols, skip }
-                }
-                PlainTail::Table(results) => StreamInner::Table(results.rows.into_iter()),
+            let shape = self.run_shape(prepared, exec);
+            let pipeline = self.build_pipeline(prepared, exec, &shape, &mut stats)?;
+            match &m.aggregate {
+                Some(agg) => self.finish_agg(prepared, agg, pipeline, exec, &shape, &mut stats)?,
+                None => self.plain_tail(prepared, pipeline, exec, &shape, &mut stats)?,
             }
         };
-        // Materializing shapes already ran the pipeline: surface any
-        // recorded invariant violation now. Lazy pipelines check again at
-        // exhaustion (RowStream::next_row).
-        if let Some(err) = stats.exec_error.take() {
-            return Err(QueryError::Exec(err));
-        }
-        Ok(RowStream { ds: self.ds, columns, inner, stats, started })
+        Ok(RowStream { ds: self.ds, columns: m.out_names(), inner, stats, started })
     }
 
-    /// The pushed-modifier epilogue: stacks modifier operators onto the
-    /// pipeline and decodes at the boundary. (`run` already short-circuits
-    /// LIMIT 0 before the pipeline exists.) Under an
-    /// [`ExecConfig::mem_budget_rows`] budget the blocking stages lower to
-    /// their external variants ([`crate::spill`]): the GROUP BY fold
-    /// hash-partitions overflow groups to spill files and the full-sort
-    /// fallback becomes an external merge sort — with rows, row order and
-    /// every deterministic counter identical to the in-memory run.
-    fn finish_pushed(
+    /// The aggregation epilogue. Aggregation materializes its groups, so
+    /// the finished table streams out afterwards. Under an
+    /// [`ExecConfig::mem_budget_rows`] budget the GROUP BY fold lowers to
+    /// its external variant ([`crate::spill`]), hash-partitioning overflow
+    /// groups to spill files — with rows, row order and every
+    /// deterministic counter identical to the in-memory run.
+    fn finish_agg(
         &self,
         prepared: &Prepared,
+        agg: &AggregatePlan,
         pipeline: Pipeline<'a>,
         exec: &ExecConfig,
+        shape: &RunShape<'_>,
         stats: &mut ExecStats,
-    ) -> Result<ResultSet, QueryError> {
+    ) -> Result<StreamInner<'a>, QueryError> {
         let m = &prepared.modifiers;
-        let spill_mode = m.spill_mode(prepared.est_result_card, exec.mem_budget_rows);
-        // Order-aware eliminations, all derived from the *plan's* delivered
-        // order (never from thread count or budget): with the value-ordered
-        // dictionary, ascending-id delivery IS ascending ORDER BY order.
-        let order_on = exec.order_exec != OrderExec::Off;
-        // The descending elimination counts too: build_pipeline derives
-        // the same pure decision from the same inputs, so when it lowered
-        // the base descending the rows already arrive in final order.
-        let sort_elim = order_on
-            && (self.order_satisfied(m, &prepared.delivered_order)
-                || self.desc_elimination(prepared, exec).is_some());
-        let delivered: &[usize] = if order_on { &prepared.delivered_order } else { &[] };
-
-        if let Some(agg) = &m.aggregate {
-            // Group-clustered delivery (the group slots are a prefix
-            // permutation of the delivered order): fold one group at a
-            // time — no hash map, DISTINCT-aggregate sets freed per group
-            // — and skip the final sort when ORDER BY follows the same
-            // prefix. Serial, unbudgeted pipelines only: the parallel
-            // worker fold and the spill fold keep their own machinery.
-            let clustered = order_on
-                && spill_mode == SpillMode::InMemory
-                && Self::clustered(delivered, &agg.group_slots);
-            match pipeline {
-                Pipeline::Serial(op) if clustered => {
-                    let mut op = op;
-                    let needed = m.input_slots();
-                    if needed.len() < op.schema().len() {
-                        op = Box::new(Project::new(op, &needed));
-                    }
+        let fold = match pipeline {
+            // Unbudgeted parallel source: the fold itself fans out. Every
+            // morsel folds into a private GroupFold on its worker, and the
+            // partials merge in morsel-index order — so group first-seen
+            // order (and with it the pre-sort output order) matches the
+            // serial fold exactly. (The fan-out is worth more than the
+            // ordered fold's one-group residency win.)
+            Pipeline::Parallel(src) if shape.spill == SpillMode::InMemory => {
+                let ds = self.ds;
+                let mut master: Option<GroupFold<'_>> = None;
+                src.process(
+                    stats,
+                    |mut op, st| {
+                        let mut fold = GroupFold::new(agg, op.schema(), ds);
+                        Self::for_each_row(&mut op, st, |row, st| {
+                            fold.add_row(row, st);
+                            Ok(())
+                        })?;
+                        Ok::<_, QueryError>(fold)
+                    },
+                    |partial, stats| match &mut master {
+                        None => master = Some(partial),
+                        Some(fold) => fold.merge(partial, stats),
+                    },
+                )?;
+                master.expect("qualified parallel plans have at least one morsel")
+            }
+            // Every other shape folds one row stream (a budgeted parallel
+            // source through its Gather, so rows arrive in the serial
+            // order), projected to the group + aggregate input columns.
+            pipeline => {
+                let mut op = Self::project(pipeline.into_operator(), &m.input_slots());
+                if shape.ordered_fold {
+                    // Group-clustered delivery: fold one group at a time —
+                    // no hash map, DISTINCT-aggregate sets freed per group
+                    // — and skip the final sort when ORDER BY follows the
+                    // same prefix.
                     let mut fold = OrderedGroupFold::new(m, agg, op.schema(), self.ds);
                     Self::for_each_row(&mut op, stats, |row, st| {
                         fold.add_row(row, st);
                         Ok(())
                     })?;
                     let (rows, resident) = fold.finish(stats);
-                    let out = finalize_table(rows, m, self.ds, false, sort_elim, stats);
+                    let out = finalize_table(rows, m, self.ds, false, shape.sort_elim, stats);
                     stats.shrink(resident);
-                    return Ok(out);
+                    return Ok(StreamInner::table(out));
                 }
-                // Parallel pipelines keep the worker-side fold (the fan-out
-                // is worth more than the one-group residency win).
-                other => return self.finish_agg_unclustered(prepared, other, exec, stats),
-            }
-        }
-        self.finish_plain(prepared, pipeline, exec, stats, sort_elim, delivered)
-    }
-
-    /// The aggregation epilogue for pipelines whose delivered order does
-    /// not cluster the groups (or that run parallel / under a budget):
-    /// hash-map folds, external when budgeted — the pre-order-aware paths.
-    fn finish_agg_unclustered(
-        &self,
-        prepared: &Prepared,
-        pipeline: Pipeline<'a>,
-        exec: &ExecConfig,
-        stats: &mut ExecStats,
-    ) -> Result<ResultSet, QueryError> {
-        let m = &prepared.modifiers;
-        let spill_mode = m.spill_mode(prepared.est_result_card, exec.mem_budget_rows);
-        let agg = m.aggregate.as_ref().expect("aggregation epilogue");
-        {
-            if spill_mode != SpillMode::InMemory {
-                // Budgeted aggregation: consume the pipeline as one row
-                // stream (a parallel source goes through its Gather, so
-                // rows arrive in the serial order) and fold it through the
-                // spill-capable external GroupFold. The worker-side fold
-                // merge below is for the unbudgeted path only — its master
-                // fold holds every group, which is exactly what the budget
-                // must bound.
-                let budget = exec.mem_budget_rows.expect("budgeted mode implies a budget");
-                let mut op = pipeline.into_operator();
-                let needed = m.input_slots();
-                if needed.len() < op.schema().len() {
-                    op = Box::new(Project::new(op, &needed));
-                }
-                let mut fold = ExternalGroupFold::new(
-                    agg,
-                    op.schema(),
-                    self.ds,
-                    budget,
-                    spill_mode == SpillMode::Eager,
-                    self.spill_base.clone(),
-                );
-                Self::for_each_row(&mut op, stats, |row, st| {
-                    fold.add_row(row, st).map_err(QueryError::from)
-                })?;
-                let rows = fold.finish(m, agg, stats)?;
-                return Ok(finalize_table(rows, m, self.ds, false, false, stats));
-            }
-            // Streaming aggregation. On a pure parallel source the fold
-            // itself fans out: every morsel folds into a private GroupFold
-            // on its worker, and the partials merge at gather time in
-            // morsel-index order — so group first-seen order (and with it
-            // the pre-sort output order) matches the serial fold exactly.
-            let fold = match pipeline {
-                Pipeline::Parallel(src) => {
-                    let ds = self.ds;
-                    let mut master: Option<GroupFold<'_>> = None;
-                    src.process(
-                        stats,
-                        |mut op, st| {
-                            let mut fold = GroupFold::new(agg, op.schema(), ds);
-                            let mut row = vec![UNBOUND; op.schema().len()];
-                            while let Some(batch) = op.next_batch(st) {
-                                for r in 0..batch.len() {
-                                    batch.read_row(r, &mut row);
-                                    fold.add_row(&row, st);
-                                }
-                                st.shrink(batch.len());
-                            }
-                            fold
-                        },
-                        |partial, stats| match &mut master {
-                            None => master = Some(partial),
-                            Some(fold) => fold.merge(partial, stats),
-                        },
+                if shape.spill != SpillMode::InMemory {
+                    // Budgeted: the spill-capable external fold. (The
+                    // worker-side merge above is for the unbudgeted path
+                    // only — its master fold holds every group, which is
+                    // exactly what the budget must bound.)
+                    let budget = exec.mem_budget_rows.expect("budgeted mode implies a budget");
+                    let mut fold = ExternalGroupFold::new(
+                        agg,
+                        op.schema(),
+                        self.ds,
+                        budget,
+                        shape.spill == SpillMode::Eager,
+                        self.spill_base.clone(),
                     );
-                    master.expect("qualified parallel plans have at least one morsel")
-                }
-                Pipeline::Serial(mut op) => {
-                    // Project to the group + aggregate input columns, fold
-                    // batch-by-batch.
-                    let needed = m.input_slots();
-                    if needed.len() < op.schema().len() {
-                        op = Box::new(Project::new(op, &needed));
-                    }
-                    let mut fold = GroupFold::new(agg, op.schema(), self.ds);
-                    // add_row registers new group state with `stats` while
-                    // the input batch is still live; the batch's tuples
-                    // then collapse into the accumulators.
                     Self::for_each_row(&mut op, stats, |row, st| {
-                        fold.add_row(row, st);
-                        Ok(())
+                        fold.add_row(row, st).map_err(QueryError::from)
                     })?;
-                    fold
+                    let rows = fold.finish(m, agg, stats)?;
+                    return Ok(StreamInner::table(finalize_table(
+                        rows, m, self.ds, false, false, stats,
+                    )));
                 }
-            };
-            let resident = fold.resident();
-            let (keys, states) = fold.finish();
-            let rows = table_from_groups(keys, states, m, agg);
-            let out = finalize_table(rows, m, self.ds, false, false, stats);
-            stats.shrink(resident);
-            Ok(out)
-        }
+                // add_row registers new group state with `stats` while the
+                // input batch is still live; the batch's tuples then
+                // collapse into the accumulators.
+                let mut fold = GroupFold::new(agg, op.schema(), self.ds);
+                Self::for_each_row(&mut op, stats, |row, st| {
+                    fold.add_row(row, st);
+                    Ok(())
+                })?;
+                fold
+            }
+        };
+        let resident = fold.resident();
+        let (keys, states) = fold.finish();
+        let rows = table_from_groups(keys, states, m, agg);
+        let out = finalize_table(rows, m, self.ds, false, false, stats);
+        stats.shrink(resident);
+        Ok(StreamInner::table(out))
     }
 
-    /// The non-aggregate epilogue, with the order-aware eliminations:
-    /// a delivered order satisfying ORDER BY turns TopK into an early-exit
-    /// [`Slice`] and skips every sort (`ExecStats::sorted_rows` stays 0);
-    /// a delivered order clustering the projected columns turns the
-    /// DISTINCT hash set into O(1) run dedup.
-    fn finish_plain(
-        &self,
-        prepared: &Prepared,
-        pipeline: Pipeline<'a>,
-        exec: &ExecConfig,
-        stats: &mut ExecStats,
-        sort_elim: bool,
-        delivered: &[usize],
-    ) -> Result<ResultSet, QueryError> {
-        let m = &prepared.modifiers;
-        match self.plain_tail(prepared, pipeline, exec, stats, sort_elim, delivered)? {
-            PlainTail::Rows(op) => {
-                let bindings = physical::drain(op, stats);
-                Ok(decode_bindings(&bindings, m, self.ds))
-            }
-            PlainTail::Sorted { mut merged, cols, mut skip } => {
-                let mut rows = Vec::new();
-                while let Some(sorted_row) = merged.next_row()? {
-                    if skip > 0 {
-                        skip -= 1;
-                        continue;
-                    }
-                    rows.push(Self::decode_cols(&cols, &sorted_row, self.ds));
-                }
-                Ok(ResultSet { columns: m.out_names(), rows })
-            }
-            PlainTail::Table(results) => Ok(results),
-        }
-    }
-
-    /// Stacks the streaming modifier operators of the plain path and
-    /// classifies what remains — the shared core of [`Engine::finish_plain`]
-    /// (which drains it) and [`Engine::stream`] (which hands it to the
-    /// caller row by row). Every decision here is the plain path's: the
-    /// two consumers cannot diverge because they share this one function.
+    /// The plain (non-aggregate) epilogue: stacks the streaming modifier
+    /// operators onto the pipeline and returns what the stream drains.
+    /// Order-aware eliminations apply: a delivered order satisfying ORDER
+    /// BY turns TopK into an early-exit [`Slice`] and skips every sort
+    /// (`ExecStats::sorted_rows` stays 0); a delivered order clustering
+    /// the projected columns turns the DISTINCT hash set into O(1) run
+    /// dedup. Under a memory budget, ORDER BY without LIMIT becomes an
+    /// external merge sort ([`crate::spill`]).
     fn plain_tail(
         &self,
         prepared: &Prepared,
         pipeline: Pipeline<'a>,
         exec: &ExecConfig,
+        shape: &RunShape<'_>,
         stats: &mut ExecStats,
-        sort_elim: bool,
-        delivered: &[usize],
-    ) -> Result<PlainTail<'a>, QueryError> {
+    ) -> Result<StreamInner<'a>, QueryError> {
         let m = &prepared.modifiers;
-        let spill_mode = m.spill_mode(prepared.est_result_card, exec.mem_budget_rows);
-        let mut op = pipeline.into_operator();
-
-        // Plain path: project to the solution-table columns.
-        let slots = m.table_slots();
-        if slots.len() < op.schema().len() {
-            op = Box::new(Project::new(op, &slots));
-        }
+        let delivered = shape.delivered;
+        // Project to the solution-table columns.
+        let mut op = Self::project(pipeline.into_operator(), &m.table_slots());
 
         // DISTINCT streams when the table has no helper sort columns: rows
         // equal on all projected columns then share their sort keys, so
@@ -1267,23 +1143,17 @@ impl<'a> Engine<'a> {
                 // Early-exit slice: upstream stops once the limit is hit.
                 op = Box::new(Slice::new(op, m.offset, m.limit));
             }
-            return Ok(PlainTail::Rows(op));
+            return Ok(StreamInner::pipeline(op, m));
         }
 
-        if sort_elim {
+        if shape.sort_elim {
             // The pipeline already delivers rows in final ORDER BY order:
             // the sort disappears entirely. TopK degenerates to an
             // early-exit Slice; DISTINCT under helper sort columns dedups
             // on the projected columns, first arrival = first sorted
             // occurrence — exactly the fallback's representative.
             if m.distinct && !already_distinct {
-                let dedup_cols: Vec<usize> = m
-                    .out_slots()
-                    .iter()
-                    .map(|&slot| {
-                        op.schema().iter().position(|&v| v == slot).expect("out slot in schema")
-                    })
-                    .collect();
+                let dedup_cols = Self::out_positions(m, op.schema());
                 op = if Self::clustered(delivered, &m.out_slots()) {
                     Box::new(Distinct::ordered(op, dedup_cols))
                 } else {
@@ -1293,7 +1163,7 @@ impl<'a> Engine<'a> {
             if m.offset > 0 || m.limit.is_some() {
                 op = Box::new(Slice::new(op, m.offset, m.limit));
             }
-            return Ok(PlainTail::Rows(op));
+            return Ok(StreamInner::pipeline(op, m));
         }
 
         if m.distinct && !already_distinct {
@@ -1303,27 +1173,20 @@ impl<'a> Engine<'a> {
             // materializing sort→project→dedup fallback would keep — while
             // holding only the distinct values, never the full input.
             let keys = RowKeys::resolve(m, op.schema(), self.ds);
-            let dedup_cols: Vec<usize> = m
-                .out_slots()
-                .iter()
-                .map(|&slot| {
-                    op.schema().iter().position(|&v| v == slot).expect("out slot in schema")
-                })
-                .collect();
-            let mut dedup = SortedDistinct::new(keys, dedup_cols);
+            let mut dedup = SortedDistinct::new(keys, Self::out_positions(m, op.schema()));
             Self::for_each_row(&mut op, stats, |row, st| {
                 dedup.add_row(row, st);
                 Ok(())
             })?;
             let sorted = dedup.finish(stats);
             let cols = Self::out_cols(m, op.schema());
-            let rows = sorted
+            let rows: Vec<Vec<OutVal>> = sorted
                 .into_iter()
                 .skip(m.offset)
                 .take(m.limit.unwrap_or(usize::MAX))
                 .map(|r| Self::decode_cols(&cols, &r, self.ds))
                 .collect();
-            return Ok(PlainTail::Table(ResultSet { columns: m.out_names(), rows }));
+            return Ok(StreamInner::Table(rows.into_iter()));
         }
 
         if let Some(limit) = m.limit {
@@ -1331,10 +1194,10 @@ impl<'a> Engine<'a> {
             // per row, only offset+limit rows ever resident.
             let keys = RowKeys::resolve(m, op.schema(), self.ds);
             op = Box::new(TopK::new(op, keys, m.offset, limit));
-            return Ok(PlainTail::Rows(op));
+            return Ok(StreamInner::pipeline(op, m));
         }
 
-        if spill_mode != SpillMode::InMemory {
+        if shape.spill != SpillMode::InMemory {
             // ORDER BY without LIMIT under a budget: external merge sort.
             // Batches stream straight into the sorter (never a full
             // materialized table); sorted runs spill once the buffer
@@ -1349,14 +1212,14 @@ impl<'a> Engine<'a> {
             })?;
             let merged = sorter.finish(stats)?;
             let cols = Self::out_cols(m, op.schema());
-            return Ok(PlainTail::Sorted { merged, cols, skip: m.offset });
+            return Ok(StreamInner::Sorted { merged, cols, skip: m.offset });
         }
 
         // Fallback: ORDER BY without LIMIT (full sort is unavoidable),
         // fully in memory.
-        let bindings = physical::drain(op, stats);
+        let bindings = physical::drain(op, stats)?;
         let rows = table_from_bindings(&bindings, m, self.ds)?;
-        Ok(PlainTail::Table(finalize_table(rows, m, self.ds, already_distinct, false, stats)))
+        Ok(StreamInner::table(finalize_table(rows, m, self.ds, already_distinct, false, stats)))
     }
 
     /// Whether the delivered order provably satisfies the full ORDER BY:
@@ -1475,31 +1338,6 @@ impl<'a> Engine<'a> {
         set.len() <= delivered.len() && delivered[..set.len()].iter().all(|v| set.contains(v))
     }
 
-    /// Whether this prepared query's final sort is eliminated under `exec`
-    /// (see [`Engine::order_satisfied`]): used by the pipeline-shape
-    /// decision and surfaced in [`Engine::explain_physical`]. For
-    /// aggregate queries the sort only disappears on the ordered
-    /// one-group-at-a-time fold, which additionally needs group-clustered
-    /// delivery and no memory budget (a parallel pipeline may still fall
-    /// back to the sorting fold — EXPLAIN is advisory there).
-    fn sort_eliminated(&self, prepared: &Prepared, exec: &ExecConfig) -> bool {
-        let m = &prepared.modifiers;
-        if exec.order_exec == OrderExec::Off || !self.order_satisfied(m, &prepared.delivered_order)
-        {
-            // `ORDER BY ... DESC` served by the run-reversed scan is the
-            // other way the sort disappears (never for aggregates — the
-            // descending elimination refuses them).
-            return self.desc_elimination(prepared, exec).is_some();
-        }
-        match &m.aggregate {
-            None => true,
-            Some(agg) => {
-                m.spill_mode(prepared.est_result_card, exec.mem_budget_rows) == SpillMode::InMemory
-                    && Self::clustered(&prepared.delivered_order, &agg.group_slots)
-            }
-        }
-    }
-
     /// Streams every row of `op` into `consume`, releasing each batch's
     /// residency once its rows are handed over — the shared drain
     /// scaffolding of every row-consuming modifier stage (folds, dedup,
@@ -1511,7 +1349,7 @@ impl<'a> Engine<'a> {
         mut consume: impl FnMut(&[Id], &mut ExecStats) -> Result<(), QueryError>,
     ) -> Result<(), QueryError> {
         let mut row = vec![UNBOUND; op.schema().len()];
-        while let Some(batch) = op.next_batch(stats) {
+        while let Some(batch) = op.next_batch(stats)? {
             for r in 0..batch.len() {
                 batch.read_row(r, &mut row);
                 consume(&row, stats)?;
@@ -1519,6 +1357,16 @@ impl<'a> Engine<'a> {
             stats.shrink(batch.len());
         }
         Ok(())
+    }
+
+    /// `op` projected onto `slots` ([`Project`]), or `op` itself when it
+    /// carries no other column.
+    fn project<'o>(op: BoxedOperator<'o>, slots: &[usize]) -> BoxedOperator<'o> {
+        if slots.len() < op.schema().len() {
+            Box::new(Project::new(op, slots))
+        } else {
+            op
+        }
     }
 
     /// Pipeline-schema column of each declared output column — resolved
@@ -1538,6 +1386,16 @@ impl<'a> Engine<'a> {
                 };
                 schema.iter().position(|&v| v == slot).expect("projected slot in schema")
             })
+            .collect()
+    }
+
+    /// Pipeline-schema column of each distinct projected slot
+    /// ([`ModifierPlan::out_slots`]) — the dedup tuple of a DISTINCT that
+    /// runs under helper sort columns.
+    fn out_positions(m: &ModifierPlan, schema: &[usize]) -> Vec<usize> {
+        m.out_slots()
+            .iter()
+            .map(|&slot| schema.iter().position(|&v| v == slot).expect("out slot in schema"))
             .collect()
     }
 
@@ -1561,9 +1419,12 @@ impl<'a> Engine<'a> {
     /// scanned index and the delivered order, plus the modifier strategy —
     /// in particular whether the final sort is eliminated behind the
     /// delivered order. Uses the engine's execution configuration (the
-    /// same one `execute` would).
+    /// same one `execute` would) and the sort decision a run makes. For
+    /// aggregates the sort only disappears on the ordered fold, which a
+    /// parallel pipeline does not take — EXPLAIN is advisory there.
     pub fn explain_physical(&self, prepared: &Prepared) -> String {
         let m = &prepared.modifiers;
+        let shape = self.run_shape(prepared, &self.exec);
         let mut out = format!("delivered order: {:?}\n", prepared.delivered_order);
         if let Some(plan) = &prepared.bgp_plan {
             out.push_str(&plan.render_physical(self.ds, 0));
@@ -1581,9 +1442,9 @@ impl<'a> Engine<'a> {
         }
         let sort = if m.order_by.is_empty() {
             "none"
-        } else if self.desc_elimination(prepared, &self.exec).is_some() {
+        } else if shape.desc_scan.is_some() {
             "eliminated (descending index scan serves ORDER BY ... DESC)"
-        } else if self.sort_eliminated(prepared, &self.exec) {
+        } else if shape.sort_elim {
             "eliminated (delivered order satisfies ORDER BY)"
         } else if m.aggregate.is_none() && m.limit.is_some() {
             "topk (bounded heap)"

@@ -393,7 +393,11 @@ impl Bindings {
     }
 }
 
-/// Per-execution instrumentation.
+/// Per-execution instrumentation: counters only. [`crate::Engine::execute`]
+/// is a drained [`crate::RowStream`], so a materialized run and a streamed
+/// one fill these counters through the same code path. Runtime failures
+/// are not recorded here: they travel as `Err` through the
+/// [`crate::Operator`] protocol.
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     /// Sum of output cardinalities of all inner joins of the required BGP —
@@ -432,15 +436,6 @@ pub struct ExecStats {
     /// the run's index scans. Zero proves every scan took the
     /// overlay-free fast path — the empty-overlay zero-overhead metric.
     pub overlay_rows: u64,
-    /// A runtime invariant violation detected inside the pull pipeline
-    /// (e.g. a merge join observing unsorted input). The `Operator`
-    /// protocol has no `Result` channel, so a failing operator records the
-    /// error here, stops producing, and the engine surfaces it as
-    /// [`QueryError::Exec`] at the run
-    /// boundary. The first error recorded wins; parallel absorption keeps
-    /// the first error in morsel-index order, so the surfaced error is
-    /// thread-count-independent like every other counter.
-    pub exec_error: Option<crate::error::ExecError>,
     /// Currently resident intermediate tuples (bookkeeping for the peak).
     live_tuples: u64,
 }
@@ -459,15 +454,6 @@ impl ExecStats {
     #[inline]
     pub fn shrink(&mut self, n: usize) {
         self.live_tuples = self.live_tuples.saturating_sub(n as u64);
-    }
-
-    /// Records a pipeline invariant violation (see [`ExecStats::exec_error`]).
-    /// Keeps the first error: a cascade downstream of the root cause must
-    /// not mask it.
-    pub fn record_exec_error(&mut self, err: crate::error::ExecError) {
-        if self.exec_error.is_none() {
-            self.exec_error = Some(err);
-        }
     }
 
     /// Folds the per-morsel stats of one parallel wave, in morsel-index
@@ -491,11 +477,6 @@ impl ExecStats {
             self.spill_bytes += p.spill_bytes;
             self.overlay_rows += p.overlay_rows;
             self.join_cards.extend(p.join_cards);
-            if let Some(err) = p.exec_error {
-                // Parts arrive in morsel-index order, so "first recorded
-                // here" is deterministic across thread counts.
-                self.record_exec_error(err);
-            }
             wave_peak += p.peak_tuples;
             wave_live += p.live_tuples;
         }
@@ -516,9 +497,6 @@ impl ExecStats {
         self.spill_bytes += other.spill_bytes;
         self.overlay_rows += other.overlay_rows;
         self.join_cards.extend(other.join_cards);
-        if let Some(err) = other.exec_error {
-            self.record_exec_error(err);
-        }
         self.peak_tuples = self.peak_tuples.max(self.live_tuples + other.peak_tuples);
         self.live_tuples += other.live_tuples;
     }
@@ -728,7 +706,7 @@ mod tests {
     fn scan_all(ds: &Dataset, pred: &str, s: usize, o: usize) -> Bindings {
         let p = ds.lookup(&Term::iri(pred)).unwrap();
         let pat = PlannedPattern { idx: 0, slots: [Slot::Var(s), Slot::Bound(p), Slot::Var(o)] };
-        drain(Box::new(IndexScan::new(ds, &pat)), &mut ExecStats::default())
+        drain(Box::new(IndexScan::new(ds, &pat, None, None)), &mut ExecStats::default()).unwrap()
     }
 
     #[test]

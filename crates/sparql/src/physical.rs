@@ -55,6 +55,7 @@ use parambench_rdf::index::IndexOrder;
 use parambench_rdf::store::Dataset;
 
 use crate::ast::Expr;
+use crate::error::ExecError;
 use crate::exec::{row_passes, Bindings, ExecConfig, ExecStats, WorkerPool, UNBOUND};
 use crate::plan::{PlannedPattern, Slot};
 
@@ -152,17 +153,22 @@ impl Batch {
 
 /// A pull-based physical operator producing columnar batches.
 ///
-/// Contract: `next_batch` returns `Some` of a **non-empty** batch, or
-/// `None` once the operator is exhausted (and stays `None`). Operators
-/// register emitted batches with [`ExecStats::grow`] and release consumed
-/// input batches with [`ExecStats::shrink`], so `stats.peak_tuples` tracks
-/// the real high-water mark of resident intermediate tuples.
+/// Contract: `next_batch` returns `Ok(Some(_))` of a **non-empty** batch,
+/// or `Ok(None)` once the operator is exhausted (and stays `Ok(None)`). A
+/// runtime failure — a checked invariant that did not hold, such as a
+/// merge join observing unsorted input — is returned as `Err` and ends
+/// the run: every operator passes a child's `Err` straight up, so it
+/// reaches the engine boundary as [`crate::error::QueryError::Exec`] and
+/// never turns into a clean end-of-stream. Operators register emitted
+/// batches with [`ExecStats::grow`] and release consumed input batches
+/// with [`ExecStats::shrink`], so `stats.peak_tuples` tracks the real
+/// high-water mark of resident intermediate tuples.
 pub trait Operator {
     /// The variable slot of each output column.
     fn schema(&self) -> &[usize];
 
     /// Produces the next batch of bindings.
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch>;
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError>;
 }
 
 /// A boxed operator tied to the dataset lifetime.
@@ -187,11 +193,11 @@ fn eq_pairs(pattern: &PlannedPattern) -> Vec<(usize, usize)> {
 
 /// Runs a pipeline to completion, materializing its output only once, at
 /// the result boundary.
-pub fn drain(mut op: BoxedOperator<'_>, stats: &mut ExecStats) -> Bindings {
+pub fn drain(mut op: BoxedOperator<'_>, stats: &mut ExecStats) -> Result<Bindings, ExecError> {
     let mut out = Bindings::empty(op.schema().to_vec());
     let width = op.schema().len();
     let mut row_buf = vec![UNBOUND; width];
-    while let Some(batch) = op.next_batch(stats) {
+    while let Some(batch) = op.next_batch(stats)? {
         for r in 0..batch.len() {
             batch.read_row(r, &mut row_buf);
             out.push_row(&row_buf);
@@ -199,7 +205,18 @@ pub fn drain(mut op: BoxedOperator<'_>, stats: &mut ExecStats) -> Bindings {
         // Accounting transfer: the batch's tuples (already grown by the
         // producer) now live on in `out`, so no grow/shrink is needed.
     }
-    out
+    Ok(out)
+}
+
+/// Pulls-and-releases the rest of an operator: a join whose output is
+/// already decided (empty build side, exhausted partner) still runs its
+/// other input to completion, so the sub-joins there report `Cout` and
+/// scans exactly as a full evaluation would.
+fn drain_rest(op: &mut BoxedOperator<'_>, stats: &mut ExecStats) -> Result<(), ExecError> {
+    while let Some(batch) = op.next_batch(stats)? {
+        stats.shrink(batch.len());
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -228,54 +245,39 @@ struct ScanState<'a> {
 }
 
 impl<'a> IndexScan<'a> {
-    /// Scans the pattern's full index range (default index order).
-    pub fn new(ds: &'a Dataset, pattern: &PlannedPattern) -> Self {
-        Self::over(ds, pattern, None, None, true)
-    }
-
-    /// Scans the pattern out of an explicitly chosen permutation index
-    /// (`None` = default): same rows, delivered sorted by that index's
-    /// unbound key positions — the order the plan layer advertises through
-    /// `PlanNode::delivered_order`.
-    pub fn with_order(
+    /// Scans the pattern out of the permutation index `order` (`None` =
+    /// the access pattern's default). Every index yields the same rows,
+    /// delivered sorted by its unbound key positions — the order the plan
+    /// layer advertises through `PlanNode::delivered_order`.
+    ///
+    /// `slice = Some((start, end, charge_overlay))` scans only rows
+    /// `[start, end)` of that range — one morsel of a parallel scan.
+    /// Consecutive slices concatenated in index order reproduce the full
+    /// scan exactly. A logical scan's overlay entries are charged to
+    /// [`ExecStats::overlay_rows`] once, by the one slice the caller marks
+    /// with `charge_overlay` (the driver morsel starting at row 0, or
+    /// morsel 0 of a merge join's key-aligned right side, whose first
+    /// slice need not start at 0) — keeping the total independent of the
+    /// morsel geometry. A full scan always charges.
+    pub fn new(
         ds: &'a Dataset,
         pattern: &PlannedPattern,
         order: Option<IndexOrder>,
+        slice: Option<(usize, usize, bool)>,
     ) -> Self {
-        Self::over(ds, pattern, order, None, true)
-    }
-
-    /// Scans only rows `[start, end)` of the pattern's index range — one
-    /// morsel of a parallel scan. Consecutive morsels concatenated in
-    /// index order reproduce [`IndexScan::with_order`] of the same order
-    /// exactly. The morsel starting at row 0 charges the logical scan's
-    /// overlay entries (exactly one driver morsel starts there).
-    pub fn morsel(
-        ds: &'a Dataset,
-        pattern: &PlannedPattern,
-        order: Option<IndexOrder>,
-        start: usize,
-        end: usize,
-    ) -> Self {
-        Self::over(ds, pattern, order, Some((start, end)), start == 0)
-    }
-
-    /// [`IndexScan::morsel`] with an explicit overlay-charge decision. The
-    /// right side of a parallel merge join is sliced by key-derived bounds:
-    /// its first slice need not start at row 0 and several empty slices may
-    /// share a position, so "starts at 0" no longer identifies one unique
-    /// morsel per logical scan — the caller marks exactly one (morsel
-    /// index 0) as the charging one, keeping `ExecStats::overlay_rows`
-    /// geometry-independent.
-    pub(crate) fn morsel_charged(
-        ds: &'a Dataset,
-        pattern: &PlannedPattern,
-        order: Option<IndexOrder>,
-        start: usize,
-        end: usize,
-        charge_overlay: bool,
-    ) -> Self {
-        Self::over(ds, pattern, order, Some((start, end)), charge_overlay)
+        let schema = pattern.var_slots();
+        if pattern.has_absent() {
+            return IndexScan { schema, state: None };
+        }
+        let access = pattern.access();
+        let order = order.unwrap_or_else(|| Dataset::default_order(access));
+        let charge_overlay = slice.is_none_or(|(_, _, charge)| charge);
+        let overlay_entries = if charge_overlay { ds.overlay_entries(access) as u64 } else { 0 };
+        let iter: Box<dyn Iterator<Item = [Id; 3]> + 'a> = match slice {
+            None => Box::new(ds.scan_with(access, order)),
+            Some((start, end, _)) => Box::new(ds.scan_slice_with(access, order, start, end)),
+        };
+        Self::from_parts(pattern, schema, iter, overlay_entries)
     }
 
     /// Scans the pattern's full range in **descending** key order, run by
@@ -299,27 +301,6 @@ impl<'a> IndexScan<'a> {
         let order = order.unwrap_or_else(|| Dataset::default_order(access));
         let overlay_entries = ds.overlay_entries(access) as u64;
         let iter = Box::new(ds.scan_desc_runs(access, order, run_components));
-        Self::from_parts(pattern, schema, iter, overlay_entries)
-    }
-
-    fn over(
-        ds: &'a Dataset,
-        pattern: &PlannedPattern,
-        order: Option<IndexOrder>,
-        slice: Option<(usize, usize)>,
-        charge_overlay: bool,
-    ) -> Self {
-        let schema = pattern.var_slots();
-        if pattern.has_absent() {
-            return IndexScan { schema, state: None };
-        }
-        let access = pattern.access();
-        let order = order.unwrap_or_else(|| Dataset::default_order(access));
-        let overlay_entries = if charge_overlay { ds.overlay_entries(access) as u64 } else { 0 };
-        let iter: Box<dyn Iterator<Item = [Id; 3]> + 'a> = match slice {
-            None => Box::new(ds.scan_with(access, order)),
-            Some((start, end)) => Box::new(ds.scan_slice_with(access, order, start, end)),
-        };
         Self::from_parts(pattern, schema, iter, overlay_entries)
     }
 
@@ -349,8 +330,10 @@ impl Operator for IndexScan<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
-        let state = self.state.as_mut()?;
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+        let Some(state) = self.state.as_mut() else {
+            return Ok(None);
+        };
         stats.overlay_rows += std::mem::take(&mut state.overlay_entries);
         let mut out = Batch::with_schema(self.schema.clone());
         let mut row = vec![UNBOUND; self.schema.len()];
@@ -370,10 +353,10 @@ impl Operator for IndexScan<'_> {
         }
         if out.is_empty() {
             self.state = None;
-            return None;
+            return Ok(None);
         }
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -449,14 +432,14 @@ impl HashJoinBuild {
         mut child: BoxedOperator<'_>,
         join_vars: &[usize],
         stats: &mut ExecStats,
-    ) -> HashJoinBuild {
+    ) -> Result<HashJoinBuild, ExecError> {
         let mut rows = Bindings::empty(child.schema().to_vec());
         let key_cols: Vec<usize> =
             join_vars.iter().map(|&v| rows.col_of(v).expect("join var in build side")).collect();
         let mut table: HashMap<Vec<Id>, Vec<usize>> = HashMap::new();
         let width = rows.cols().len();
         let mut row_buf = vec![UNBOUND; width];
-        while let Some(batch) = child.next_batch(stats) {
+        while let Some(batch) = child.next_batch(stats)? {
             for r in 0..batch.len() {
                 batch.read_row(r, &mut row_buf);
                 let key: Vec<Id> = key_cols.iter().map(|&c| row_buf[c]).collect();
@@ -465,7 +448,7 @@ impl HashJoinBuild {
             }
         }
         stats.build_rows += rows.len() as u64;
-        HashJoinBuild { rows, partitions: vec![table], hasher: RandomState::new() }
+        Ok(HashJoinBuild { rows, partitions: vec![table], hasher: RandomState::new() })
     }
 
     /// Parallel build of a *scan* build side: workers extract rows and key
@@ -697,7 +680,11 @@ impl ProbeCore {
     /// One `next_batch` step probing the build with rows pulled from
     /// `probe`, resuming mid-batch across calls; finishes (and releases an
     /// owned build) when the probe side is exhausted.
-    fn fill(&mut self, probe: &mut BoxedOperator<'_>, stats: &mut ExecStats) -> Option<Batch> {
+    fn fill(
+        &mut self,
+        probe: &mut BoxedOperator<'_>,
+        stats: &mut ExecStats,
+    ) -> Result<Option<Batch>, ExecError> {
         let mut out = Batch::with_schema(self.schema.clone());
         {
             let build = self.build.as_ref().expect("build installed before fill").get();
@@ -706,7 +693,7 @@ impl ProbeCore {
             'fill: while !out.is_full() {
                 let (batch, mut row, mut offset) = match self.cursor.take() {
                     Some(c) => c,
-                    None => match probe.next_batch(stats) {
+                    None => match probe.next_batch(stats)? {
                         Some(b) => (b, 0, 0),
                         None => break 'fill,
                     },
@@ -739,7 +726,7 @@ impl ProbeCore {
         }
         if self.cursor.is_none() && out.is_empty() {
             self.finish(stats);
-            return None;
+            return Ok(None);
         }
         if self.cursor.is_none() && !out.is_full() {
             // Probe exhausted with a final partial batch: account now so a
@@ -751,7 +738,7 @@ impl ProbeCore {
         // must still be counted.
         self.recorder.record(stats, out.len() as u64);
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -795,22 +782,19 @@ impl Operator for HashJoinProbe<'_> {
         &self.core.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.core.done {
-            return None;
+            return Ok(None);
         }
-        if let Some((build_child, probe_child)) = self.pending.take() {
-            let build = HashJoinBuild::build(build_child, &self.join_vars, stats);
-            let mut probe_child = probe_child;
+        if let Some((build_child, mut probe_child)) = self.pending.take() {
+            let build = HashJoinBuild::build(build_child, &self.join_vars, stats)?;
             if build.is_empty() {
                 // Empty build side: the join is empty, but the probe subtree
                 // must still run so its joins contribute to measured `Cout`
                 // exactly as in the materializing executor.
-                while let Some(batch) = probe_child.next_batch(stats) {
-                    stats.shrink(batch.len());
-                }
+                drain_rest(&mut probe_child, stats)?;
                 self.core.finish(stats);
-                return None;
+                return Ok(None);
             }
             self.core.build = Some(BuildRef::Owned(build));
             self.probe = Some(probe_child);
@@ -917,9 +901,9 @@ impl Operator for BindJoin<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.done {
-            return None;
+            return Ok(None);
         }
         let ds = self.ds;
         let left_width = self.left.schema().len();
@@ -927,7 +911,7 @@ impl Operator for BindJoin<'_> {
         let mut row_buf = vec![UNBOUND; self.schema.len()];
         'fill: while !out.is_full() {
             if self.cursor.is_none() {
-                match self.left.next_batch(stats) {
+                match self.left.next_batch(stats)? {
                     Some(batch) => self.cursor = Some(BindCursor { batch, row: 0, scan: None }),
                     None => break 'fill,
                 }
@@ -996,12 +980,12 @@ impl Operator for BindJoin<'_> {
             self.finish(stats);
         }
         if out.is_empty() {
-            return None;
+            return Ok(None);
         }
         // Per-batch Cout reporting: survives downstream LIMIT early exit.
         self.recorder.record(stats, out.len() as u64);
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -1104,7 +1088,7 @@ impl<'a> MergeJoin<'a> {
     /// skips smaller keys, buffers the equal-key run, stops at the first
     /// greater key (kept as lookahead). The cursor never moves backwards —
     /// left keys arrive non-decreasing.
-    fn advance_right_to(&mut self, key: &[Id], stats: &mut ExecStats) {
+    fn advance_right_to(&mut self, key: &[Id], stats: &mut ExecStats) -> Result<(), ExecError> {
         stats.shrink(self.run.len());
         self.run.clear();
         self.run_key = None;
@@ -1117,7 +1101,7 @@ impl<'a> MergeJoin<'a> {
                     if self.right_done {
                         break 'advance;
                     }
-                    match self.right.next_batch(stats) {
+                    match self.right.next_batch(stats)? {
                         Some(b) => {
                             self.rbatch = Some((b, 0));
                             continue 'advance;
@@ -1159,31 +1143,27 @@ impl<'a> MergeJoin<'a> {
         if !self.run.is_empty() {
             self.run_key = Some(key.to_vec());
         }
+        Ok(())
     }
 
-    /// Pulls-and-releases the rest of an operator (exhaustion drain): the
-    /// side that outlives its partner still runs to completion so its
-    /// sub-joins report `Cout` and scans exactly as the hash lowering does.
-    fn drain_rest(op: &mut BoxedOperator<'_>, stats: &mut ExecStats) {
-        while let Some(batch) = op.next_batch(stats) {
-            stats.shrink(batch.len());
-        }
-    }
-
-    fn finish(&mut self, stats: &mut ExecStats) {
+    /// Exhaustion: releases everything resident and drains both inputs, so
+    /// the side that outlives its partner still reports `Cout` and scans
+    /// exactly as the hash lowering does.
+    fn finish(&mut self, stats: &mut ExecStats) -> Result<(), ExecError> {
         stats.shrink(self.run.len());
         self.run.clear();
         self.run_key = None;
         if let Some((batch, _)) = self.rbatch.take() {
             stats.shrink(batch.len());
         }
-        Self::drain_rest(&mut self.right, stats);
+        drain_rest(&mut self.right, stats)?;
         if let Some((batch, _, _)) = self.lcursor.take() {
             stats.shrink(batch.len());
         }
-        Self::drain_rest(&mut self.left, stats);
+        drain_rest(&mut self.left, stats)?;
         self.recorder.record(stats, 0);
         self.done = true;
+        Ok(())
     }
 
     /// Stops the join *without* the exhaustion drain — the
@@ -1209,9 +1189,9 @@ impl Operator for MergeJoin<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.done {
-            return None;
+            return Ok(None);
         }
         let left_width = self.left.schema().len();
         let mut out = Batch::with_schema(self.schema.clone());
@@ -1219,7 +1199,7 @@ impl Operator for MergeJoin<'_> {
         let mut exhausted = false;
         'fill: while !out.is_full() {
             if self.lcursor.is_none() {
-                match self.left.next_batch(stats) {
+                match self.left.next_batch(stats)? {
                     Some(batch) => self.lcursor = Some((batch, 0, 0)),
                     None => {
                         exhausted = true;
@@ -1241,12 +1221,12 @@ impl Operator for MergeJoin<'_> {
                     // Unconditional, not debug-only: with overlay-merged
                     // and morsel-sliced inputs feeding the join, a silent
                     // release-build misjoin is the worst failure mode.
-                    stats.record_exec_error(crate::error::ExecError::invariant(
+                    let err = ExecError::invariant(
                         "merge join",
                         format!("left input not sorted on its key: {prev:?} then {key:?}"),
-                    ));
+                    );
                     self.abort(stats);
-                    return None;
+                    return Err(err);
                 }
                 Some(prev) => prev.clone_from(&key),
                 None => self.prev_left_key = Some(key.clone()),
@@ -1255,7 +1235,7 @@ impl Operator for MergeJoin<'_> {
                 // Borrow dance: advance_right_to needs &mut self, the left
                 // cursor state survives in self.lcursor.
                 let (b, r, o) = self.lcursor.take().expect("held above");
-                self.advance_right_to(&key, stats);
+                self.advance_right_to(&key, stats)?;
                 self.lcursor = Some((b, r, o));
                 if self.run.is_empty() && self.right_done {
                     // No run and no more right rows: every remaining left
@@ -1287,20 +1267,20 @@ impl Operator for MergeJoin<'_> {
             }
         }
         if exhausted {
-            self.finish(stats);
+            self.finish(stats)?;
         }
         if out.is_empty() {
             if !self.done {
                 // Filled nothing but not exhausted (cannot happen: the loop
                 // only exits full or exhausted) — defensive finish.
-                self.finish(stats);
+                self.finish(stats)?;
             }
-            return None;
+            return Ok(None);
         }
         // Per-batch Cout reporting: survives downstream LIMIT early exit.
         self.recorder.record(stats, out.len() as u64);
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -1377,12 +1357,12 @@ impl Operator for LeftOuterJoin<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.done {
-            return None;
+            return Ok(None);
         }
         if let Some(right) = self.right.take() {
-            self.build = Some(HashJoinBuild::build(right, &self.join_vars, stats));
+            self.build = Some(HashJoinBuild::build(right, &self.join_vars, stats)?);
         }
         let build = self.build.as_ref().expect("built above");
         let left_width = self.left.schema().len();
@@ -1392,7 +1372,7 @@ impl Operator for LeftOuterJoin<'_> {
         'fill: while !out.is_full() {
             let (batch, mut row, mut offset) = match self.cursor.take() {
                 Some(c) => c,
-                None => match self.left.next_batch(stats) {
+                None => match self.left.next_batch(stats)? {
                     Some(b) => (b, 0, 0),
                     None => break 'fill,
                 },
@@ -1438,7 +1418,7 @@ impl Operator for LeftOuterJoin<'_> {
         }
         if self.cursor.is_none() && out.is_empty() {
             self.finish(stats);
-            return None;
+            return Ok(None);
         }
         if self.cursor.is_none() && !out.is_full() {
             self.finish(stats);
@@ -1446,7 +1426,7 @@ impl Operator for LeftOuterJoin<'_> {
         // Per-batch Cout reporting: survives downstream LIMIT early exit.
         stats.cout_optional += out.len() as u64;
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -1486,11 +1466,10 @@ impl Operator for FilterEval<'_> {
         self.child.schema()
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         let width = self.child.schema().len();
         let mut row_buf = vec![UNBOUND; width];
-        loop {
-            let batch = self.child.next_batch(stats)?;
+        while let Some(batch) = self.child.next_batch(stats)? {
             let mut out = Batch::with_schema(batch.schema().to_vec());
             for r in 0..batch.len() {
                 batch.read_row(r, &mut row_buf);
@@ -1501,9 +1480,10 @@ impl Operator for FilterEval<'_> {
             stats.shrink(batch.len());
             if !out.is_empty() {
                 stats.grow(out.len());
-                return Some(out);
+                return Ok(Some(out));
             }
         }
+        Ok(None)
     }
 }
 
@@ -1545,8 +1525,10 @@ impl Operator for Project<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
-        let batch = self.child.next_batch(stats)?;
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
+        let Some(batch) = self.child.next_batch(stats)? else {
+            return Ok(None);
+        };
         let mut out = Batch::with_schema(self.schema.clone());
         for (k, &c) in self.keep.iter().enumerate() {
             out.columns[k].extend_from_slice(batch.column(c));
@@ -1554,7 +1536,7 @@ impl Operator for Project<'_> {
         out.rows = batch.len();
         stats.shrink(batch.len());
         stats.grow(out.len());
-        Some(out)
+        Ok(Some(out))
     }
 }
 
@@ -1596,10 +1578,10 @@ impl Operator for UnionAll<'_> {
         &self.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         while self.current < self.branches.len() {
             let (branch, mapping) = &mut self.branches[self.current];
-            match branch.next_batch(stats) {
+            match branch.next_batch(stats)? {
                 Some(batch) => {
                     let mut out = Batch::with_schema(self.schema.clone());
                     for (k, &c) in mapping.iter().enumerate() {
@@ -1607,12 +1589,12 @@ impl Operator for UnionAll<'_> {
                     }
                     out.rows = batch.len();
                     // Straight transfer: same tuple count in, same out.
-                    return Some(out);
+                    return Ok(Some(out));
                 }
                 None => self.current += 1,
             }
         }
-        None
+        Ok(None)
     }
 }
 
@@ -1779,18 +1761,16 @@ impl Operator for SharedBuildProbe<'_> {
         &self.core.schema
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         if self.core.done {
-            return None;
+            return Ok(None);
         }
         if self.core.build.as_ref().expect("installed at construction").get().is_empty() {
             // Same contract as HashJoinProbe: the probe subtree still runs
             // so its joins contribute to measured `Cout`.
-            while let Some(batch) = self.child.next_batch(stats) {
-                stats.shrink(batch.len());
-            }
+            drain_rest(&mut self.child, stats)?;
             self.core.finish(stats);
-            return None;
+            return Ok(None);
         }
         self.core.fill(&mut self.child, stats)
     }
@@ -2046,8 +2026,12 @@ impl<'a> ParallelSource<'a> {
         bucket: CoutBucket,
         m: Morsel,
     ) -> BoxedOperator<'a> {
-        let mut op: BoxedOperator<'a> =
-            Box::new(IndexScan::morsel(ds, driver, driver_order, m.start, m.end));
+        let mut op: BoxedOperator<'a> = Box::new(IndexScan::new(
+            ds,
+            driver,
+            driver_order,
+            Some((m.start, m.end, m.start == 0)),
+        ));
         for step in steps {
             op = match step {
                 SpineStep::Bind { pattern, join_vars, signature } => Box::new(BindJoin::new(
@@ -2077,13 +2061,11 @@ impl<'a> ParallelSource<'a> {
                     } else {
                         (0, 0)
                     };
-                    let right: BoxedOperator<'a> = Box::new(IndexScan::morsel_charged(
+                    let right: BoxedOperator<'a> = Box::new(IndexScan::new(
                         ds,
                         pattern,
                         *order,
-                        rstart,
-                        rend,
-                        m.index == 0,
+                        Some((rstart, rend, m.index == 0)),
                     ));
                     Box::new(MergeJoin::new(op, right, join_vars, signature.clone(), bucket))
                 }
@@ -2092,14 +2074,23 @@ impl<'a> ParallelSource<'a> {
         op
     }
 
-    /// Runs one contiguous wave of morsels across the pool; results come
-    /// back in morsel order, each with the worker's private [`ExecStats`].
-    fn run_wave(&self, wave: Range<usize>) -> Vec<(Vec<Batch>, ExecStats)> {
+    /// Runs one contiguous wave of morsels across the pool: every morsel
+    /// gets a fresh pipeline and its own [`ExecStats`], drained by `job`.
+    /// The workers' stats fold into `stats` in morsel-index order, and the
+    /// per-morsel results come back in that order too — or the first `Err`
+    /// in morsel-index order, so the surfaced error, like every counter,
+    /// does not depend on the thread count.
+    fn run_wave<T: Send, E: Send>(
+        &self,
+        wave: Range<usize>,
+        stats: &mut ExecStats,
+        job: &(dyn Fn(BoxedOperator<'a>, &mut ExecStats) -> Result<T, E> + Sync),
+    ) -> Result<Vec<T>, E> {
         let base = wave.start;
-        scatter(wave.len(), self.threads, self.pool, &|i| {
+        let parts = scatter(wave.len(), self.threads, self.pool, &|i| {
             let m = self.exchange.morsel(base + i);
-            let mut stats = ExecStats::default();
-            let mut op = Self::assemble(
+            let mut st = ExecStats::default();
+            let op = Self::assemble(
                 self.ds,
                 &self.driver,
                 self.driver_order,
@@ -2107,12 +2098,11 @@ impl<'a> ParallelSource<'a> {
                 self.bucket,
                 m,
             );
-            let mut batches = Vec::new();
-            while let Some(b) = op.next_batch(&mut stats) {
-                batches.push(b);
-            }
-            (batches, stats)
-        })
+            (job(op, &mut st), st)
+        });
+        let (values, worker_stats): (Vec<Result<T, E>>, Vec<ExecStats>) = parts.into_iter().unzip();
+        stats.absorb_workers(worker_stats);
+        values.into_iter().collect()
     }
 
     /// Drains every morsel through `job` (a fresh pipeline per morsel with
@@ -2120,40 +2110,25 @@ impl<'a> ParallelSource<'a> {
     /// morsel-index order — the parallel-aggregation driver: `job` folds a
     /// morsel into a partial accumulator, `sink` merges partials in the
     /// deterministic order. Shared builds are released when all morsels
-    /// have run.
-    pub fn process<T: Send>(
+    /// have run. Stops at the first wave with a failing morsel and returns
+    /// that morsel's error.
+    pub fn process<T: Send, E: Send>(
         self,
         stats: &mut ExecStats,
-        job: impl Fn(BoxedOperator<'a>, &mut ExecStats) -> T + Sync,
+        job: impl Fn(BoxedOperator<'a>, &mut ExecStats) -> Result<T, E> + Sync,
         mut sink: impl FnMut(T, &mut ExecStats),
-    ) {
+    ) -> Result<(), E> {
         let count = self.exchange.morsel_count();
         let mut next = 0;
         while next < count {
             let wave = next..(next + MORSELS_PER_WAVE).min(count);
-            let base = wave.start;
-            let parts: Vec<(T, ExecStats)> = scatter(wave.len(), self.threads, self.pool, &|i| {
-                let m = self.exchange.morsel(base + i);
-                let mut st = ExecStats::default();
-                let op = Self::assemble(
-                    self.ds,
-                    &self.driver,
-                    self.driver_order,
-                    &self.steps,
-                    self.bucket,
-                    m,
-                );
-                let v = job(op, &mut st);
-                (v, st)
-            });
             next = wave.end;
-            let (values, worker_stats): (Vec<T>, Vec<ExecStats>) = parts.into_iter().unzip();
-            stats.absorb_workers(worker_stats);
-            for v in values {
+            for v in self.run_wave(wave, stats, &job)? {
                 sink(v, stats);
             }
         }
         stats.shrink(self.shared_tuples);
+        Ok(())
     }
 }
 
@@ -2182,30 +2157,32 @@ impl Operator for Gather<'_> {
         self.source.schema()
     }
 
-    fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+    fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
         loop {
             if let Some(b) = self.buffer.pop_front() {
-                return Some(b);
+                return Ok(Some(b));
             }
             if self.done {
-                return None;
+                return Ok(None);
             }
             let count = self.source.exchange.morsel_count();
             if self.next_morsel >= count {
                 self.done = true;
                 // All morsels ran: the shared build tables are dead.
                 stats.shrink(self.source.shared_tuples);
-                return None;
+                return Ok(None);
             }
             let wave = self.next_morsel..(self.next_morsel + MORSELS_PER_WAVE).min(count);
             self.next_morsel = wave.end;
-            let parts = self.source.run_wave(wave);
-            let mut worker_stats = Vec::with_capacity(parts.len());
-            for (batches, st) in parts {
-                worker_stats.push(st);
-                self.buffer.extend(batches);
-            }
-            stats.absorb_workers(worker_stats);
+            let morsels =
+                self.source.run_wave(wave, stats, &|mut op, st| -> Result<_, ExecError> {
+                    let mut batches = Vec::new();
+                    while let Some(b) = op.next_batch(st)? {
+                        batches.push(b);
+                    }
+                    Ok(batches)
+                })?;
+            self.buffer.extend(morsels.into_iter().flatten());
         }
     }
 }
@@ -2247,10 +2224,10 @@ mod tests {
         let n = 3 * BATCH_SIZE + 17;
         let ds = chain_dataset(n);
         let mut stats = ExecStats::default();
-        let mut scan = IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0));
+        let mut scan = IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0), None, None);
         let mut total = 0;
         let mut batches = 0;
-        while let Some(batch) = scan.next_batch(&mut stats) {
+        while let Some(batch) = scan.next_batch(&mut stats).unwrap() {
             assert!(!batch.is_empty());
             assert!(batch.len() <= BATCH_SIZE);
             total += batch.len();
@@ -2261,7 +2238,7 @@ mod tests {
         assert_eq!(stats.scanned, n as u64);
         assert_eq!(stats.cout, 0);
         // Exhausted operators stay exhausted.
-        assert!(scan.next_batch(&mut stats).is_none());
+        assert!(scan.next_batch(&mut stats).unwrap().is_none());
     }
 
     #[test]
@@ -2269,7 +2246,8 @@ mod tests {
         let n = 500;
         let ds = chain_dataset(n);
         let scan = |s, o, idx| {
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", s, o, idx))) as BoxedOperator<'_>
+            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", s, o, idx), None, None))
+                as BoxedOperator<'_>
         };
         let mut stats = ExecStats::default();
         let join = HashJoinProbe::new(
@@ -2280,7 +2258,7 @@ mod tests {
             "HJ(S0,S1)".into(),
             CoutBucket::Required,
         );
-        let got = drain(Box::new(join), &mut stats);
+        let got = drain(Box::new(join), &mut stats).unwrap();
         // Chain i→i+1 for i in 0..n: two-hop paths exist for i in 0..n-1.
         assert_eq!(got.cols(), &[0, 1, 2]);
         assert_eq!(got.len(), n - 1);
@@ -2293,7 +2271,8 @@ mod tests {
     fn hash_join_build_side_choice_is_transparent() {
         let ds = chain_dataset(300);
         let scan = |s, o, idx| {
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", s, o, idx))) as BoxedOperator<'_>
+            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", s, o, idx), None, None))
+                as BoxedOperator<'_>
         };
         for build_right in [false, true] {
             let mut stats = ExecStats::default();
@@ -2305,7 +2284,7 @@ mod tests {
                 "sig".into(),
                 CoutBucket::Required,
             );
-            let out = drain(Box::new(join), &mut stats);
+            let out = drain(Box::new(join), &mut stats).unwrap();
             assert_eq!(out.cols(), &[0, 1, 2], "build_right={build_right}");
             assert_eq!(out.len(), 299, "build_right={build_right}");
             assert_eq!(stats.cout, 299);
@@ -2316,7 +2295,8 @@ mod tests {
     fn bind_join_matches_hash_join() {
         let ds = chain_dataset(400);
         let scan = |s, o, idx| {
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", s, o, idx))) as BoxedOperator<'_>
+            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", s, o, idx), None, None))
+                as BoxedOperator<'_>
         };
         let mut hash_stats = ExecStats::default();
         let via_hash = drain(
@@ -2329,7 +2309,8 @@ mod tests {
                 CoutBucket::Required,
             )),
             &mut hash_stats,
-        );
+        )
+        .unwrap();
         let mut bind_stats = ExecStats::default();
         let via_bind = drain(
             Box::new(BindJoin::new(
@@ -2341,7 +2322,8 @@ mod tests {
                 CoutBucket::Required,
             )),
             &mut bind_stats,
-        );
+        )
+        .unwrap();
         assert_eq!(via_bind.cols(), via_hash.cols());
         assert_eq!(sorted_rows(&via_bind), sorted_rows(&via_hash));
         assert_eq!(bind_stats.cout, hash_stats.cout);
@@ -2363,24 +2345,24 @@ mod tests {
         for (lp, rp) in [(next(0, 1, 0), label(0, 2, 1)), (label(0, 1, 0), next(0, 2, 1))] {
             let mut mj_stats = ExecStats::default();
             let mj = MergeJoin::new(
-                Box::new(IndexScan::new(&ds, &lp)),
-                Box::new(IndexScan::new(&ds, &rp)),
+                Box::new(IndexScan::new(&ds, &lp, None, None)),
+                Box::new(IndexScan::new(&ds, &rp, None, None)),
                 &[0],
                 "sig".into(),
                 CoutBucket::Required,
             );
-            let got = drain(Box::new(mj), &mut mj_stats);
+            let got = drain(Box::new(mj), &mut mj_stats).unwrap();
 
             let mut hj_stats = ExecStats::default();
             let hj = HashJoinProbe::new(
-                Box::new(IndexScan::new(&ds, &lp)),
-                Box::new(IndexScan::new(&ds, &rp)),
+                Box::new(IndexScan::new(&ds, &lp, None, None)),
+                Box::new(IndexScan::new(&ds, &rp, None, None)),
                 vec![0],
                 true, // build right, stream left: the merge join's sequence
                 "sig".into(),
                 CoutBucket::Required,
             );
-            let want = drain(Box::new(hj), &mut hj_stats);
+            let want = drain(Box::new(hj), &mut hj_stats).unwrap();
 
             assert_eq!(got.cols(), want.cols());
             let got_rows: Vec<Vec<Id>> = got.iter().map(|r| r.to_vec()).collect();
@@ -2401,13 +2383,13 @@ mod tests {
         // Empty right: left must still be drained (scanned counted).
         let mut stats = ExecStats::default();
         let mj = MergeJoin::new(
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0))),
-            Box::new(IndexScan::new(&ds, &absent)),
+            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0), None, None)),
+            Box::new(IndexScan::new(&ds, &absent, None, None)),
             &[0],
             "sig".into(),
             CoutBucket::Required,
         );
-        let out = drain(Box::new(mj), &mut stats);
+        let out = drain(Box::new(mj), &mut stats).unwrap();
         assert!(out.is_empty());
         assert_eq!(stats.scanned, 300, "left side drained for Cout/scan parity");
         assert_eq!(stats.cout, 0);
@@ -2415,13 +2397,13 @@ mod tests {
         // Empty left: right drained.
         let mut stats = ExecStats::default();
         let mj = MergeJoin::new(
-            Box::new(IndexScan::new(&ds, &absent)),
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0))),
+            Box::new(IndexScan::new(&ds, &absent, None, None)),
+            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0), None, None)),
             &[0],
             "sig".into(),
             CoutBucket::Required,
         );
-        let out = drain(Box::new(mj), &mut stats);
+        let out = drain(Box::new(mj), &mut stats).unwrap();
         assert!(out.is_empty());
         assert_eq!(stats.scanned, 300, "right side drained for Cout/scan parity");
         assert_eq!(stats.cout, 0);
@@ -2439,35 +2421,107 @@ mod tests {
             &self.schema
         }
 
-        fn next_batch(&mut self, stats: &mut ExecStats) -> Option<Batch> {
+        fn next_batch(&mut self, stats: &mut ExecStats) -> Result<Option<Batch>, ExecError> {
             if self.emitted {
-                return None;
+                return Ok(None);
             }
             self.emitted = true;
             let mut b = Batch::with_schema(self.schema.clone());
             b.push_row(&[Id(5), Id(100)]);
             b.push_row(&[Id(2), Id(101)]);
             stats.grow(b.len());
-            Some(b)
+            Ok(Some(b))
         }
+    }
+
+    /// A merge join on var 0 whose left input is [`UnsortedInput`].
+    fn unsorted_merge_join(ds: &Dataset) -> MergeJoin<'_> {
+        let left = Box::new(UnsortedInput { schema: vec![0, 3], emitted: false });
+        let right = Box::new(IndexScan::new(ds, &pattern(ds, "p/next", 0, 1, 0), None, None));
+        MergeJoin::new(left, right, &[0], "sig".into(), CoutBucket::Required)
     }
 
     #[test]
     fn merge_join_surfaces_unsorted_left_as_typed_error() {
         let ds = chain_dataset(50);
-        let left = Box::new(UnsortedInput { schema: vec![0, 3], emitted: false });
-        let right =
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0))) as BoxedOperator<'_>;
         let mut stats = ExecStats::default();
-        let mut mj = MergeJoin::new(left, right, &[0], "sig".into(), CoutBucket::Required);
-        while mj.next_batch(&mut stats).is_some() {}
-        let err = stats.exec_error.clone().expect("unsorted left input must be reported");
+        let mut mj = unsorted_merge_join(&ds);
+        let err = loop {
+            match mj.next_batch(&mut stats) {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("unsorted left input must fail, not end the stream"),
+                Err(err) => break err,
+            }
+        };
         assert_eq!(err.op, "merge join");
         assert!(err.message.contains("not sorted"), "unexpected message: {}", err.message);
         // The join aborted without draining its inputs and stays exhausted.
-        assert!(mj.next_batch(&mut stats).is_none());
+        assert!(mj.next_batch(&mut stats).unwrap().is_none());
         // The error converts into the public typed variant.
         assert!(matches!(crate::error::QueryError::from(err), crate::error::QueryError::Exec(_)));
+    }
+
+    /// `n` subjects `s/i` whose `p/a` object is `s/(n-1-i)`, and one
+    /// `p/b` triple per subject. The subject-ordered scan of
+    /// `?0 <p/a> ?1` delivers `?1` descending, so a merge join on `?1`
+    /// against `?1 <p/b> ?2` sees unsorted left input.
+    fn reversed_dataset(n: usize) -> Dataset {
+        let mut b = StoreBuilder::new();
+        for i in 0..n {
+            let s = Term::iri(format!("s/{i:05}"));
+            b.insert(s.clone(), Term::iri("p/a"), Term::iri(format!("s/{:05}", n - 1 - i)));
+            b.insert(s, Term::iri("p/b"), Term::integer(i as i64));
+        }
+        b.freeze()
+    }
+
+    #[test]
+    fn merge_join_error_crosses_every_layer() {
+        // Serial: the failing join under Project → Slice, drained like
+        // the engine drains a pipeline.
+        let ds = chain_dataset(50);
+        let projected = Box::new(Project::new(Box::new(unsorted_merge_join(&ds)), &[0, 1]));
+        let sliced = Box::new(crate::modifiers::Slice::new(projected, 0, Some(10)));
+        let err = drain(sliced, &mut ExecStats::default())
+            .expect_err("Project → Slice must pass the error up, not end cleanly");
+        assert_eq!(err.op, "merge join");
+
+        // Parallel: every morsel's private merge join sees unsorted left
+        // input; morsels in the upper half of the scan fail, the lower
+        // ones end cleanly first, so the first failure lies past the
+        // first wave.
+        let n = 2000;
+        let ds = reversed_dataset(n);
+        let source = |threads| {
+            let merge = SpineStep::Merge {
+                pattern: pattern(&ds, "p/b", 1, 2, 1),
+                order: None,
+                join_vars: vec![1],
+                signature: "sig".into(),
+                bounds: Arc::new(Vec::new()),
+            };
+            let cfg = tiny_morsel_cfg(threads, 25);
+            let driver = pattern(&ds, "p/a", 0, 1, 0);
+            ParallelSource::new(&ds, driver, None, vec![merge], &cfg, CoutBucket::Required)
+        };
+        let mut errs = Vec::new();
+        for threads in [1, 4] {
+            let src = source(threads);
+            assert!(src.exchange.morsel_count() > MORSELS_PER_WAVE, "want several waves");
+            let gathered = drain(Box::new(Gather::new(src)), &mut ExecStats::default())
+                .expect_err("Gather must pass the error up, not end cleanly");
+            let processed = source(threads)
+                .process(
+                    &mut ExecStats::default(),
+                    |mut op, st| drain_rest(&mut op, st),
+                    |(), _| {},
+                )
+                .expect_err("process must pass the error up");
+            assert_eq!(gathered, processed, "threads={threads}");
+            errs.push(gathered);
+        }
+        assert_eq!(errs[0].op, "merge join");
+        assert_eq!(errs[0], errs[1], "first error in morsel-index order at any thread count");
     }
 
     #[test]
@@ -2476,9 +2530,9 @@ mod tests {
         let pat = pattern(&ds, "p/next", 0, 1, 0);
         // Default (Pso): sorted by subject column; Pos: sorted by object.
         let mut stats = ExecStats::default();
-        let mut scan = IndexScan::with_order(&ds, &pat, Some(IndexOrder::Pos));
+        let mut scan = IndexScan::new(&ds, &pat, Some(IndexOrder::Pos), None);
         let mut last: Option<Id> = None;
-        while let Some(batch) = scan.next_batch(&mut stats) {
+        while let Some(batch) = scan.next_batch(&mut stats).unwrap() {
             let obj_col = batch.schema().iter().position(|&v| v == 1).unwrap();
             for r in 0..batch.len() {
                 let v = batch.value(r, obj_col);
@@ -2494,12 +2548,12 @@ mod tests {
     #[test]
     fn left_outer_join_pads_unmatched() {
         let ds = chain_dataset(10);
-        let people =
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0))) as BoxedOperator<'_>;
-        let labels =
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 2, 1))) as BoxedOperator<'_>;
+        let people = Box::new(IndexScan::new(&ds, &pattern(&ds, "p/next", 0, 1, 0), None, None))
+            as BoxedOperator<'_>;
+        let labels = Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 2, 1), None, None))
+            as BoxedOperator<'_>;
         let mut stats = ExecStats::default();
-        let out = drain(Box::new(LeftOuterJoin::new(people, labels, vec![0])), &mut stats);
+        let out = drain(Box::new(LeftOuterJoin::new(people, labels, vec![0])), &mut stats).unwrap();
         assert_eq!(out.len(), 10); // every left row survives
         let label_col = out.col_of(2).unwrap();
         let unbound = out.iter().filter(|r| r[label_col] == UNBOUND).count();
@@ -2511,8 +2565,8 @@ mod tests {
     #[test]
     fn filter_and_project_stream_through() {
         let ds = chain_dataset(50);
-        let labels =
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 1, 0))) as BoxedOperator<'_>;
+        let labels = Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 1, 0), None, None))
+            as BoxedOperator<'_>;
         let var_names = vec!["n".to_string(), "l".to_string()];
         let filter = crate::ast::Expr::Binary(
             crate::ast::BinOp::Ge,
@@ -2522,7 +2576,7 @@ mod tests {
         let filtered = Box::new(FilterEval::new(labels, vec![filter], &var_names, &ds));
         let projected = Box::new(Project::new(filtered, &[1]));
         let mut stats = ExecStats::default();
-        let out = drain(projected, &mut stats);
+        let out = drain(projected, &mut stats).unwrap();
         assert_eq!(out.cols(), &[1]);
         // labels 20, 22, ..., 48 → 15 rows
         assert_eq!(out.len(), 15);
@@ -2531,16 +2585,16 @@ mod tests {
     #[test]
     fn union_all_concatenates_and_remaps() {
         let ds = chain_dataset(20);
-        let a =
-            Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 1, 0))) as BoxedOperator<'_>;
+        let a = Box::new(IndexScan::new(&ds, &pattern(&ds, "p/label", 0, 1, 0), None, None))
+            as BoxedOperator<'_>;
         // Same variable set, but the pattern binds them in reversed slot roles.
         let p = ds.lookup(&Term::iri("p/label")).unwrap();
         let rev = PlannedPattern { idx: 1, slots: [Slot::Var(1), Slot::Bound(p), Slot::Var(0)] };
-        let b = Box::new(IndexScan::new(&ds, &rev)) as BoxedOperator<'_>;
+        let b = Box::new(IndexScan::new(&ds, &rev, None, None)) as BoxedOperator<'_>;
         let mut stats = ExecStats::default();
         let union = UnionAll::new(vec![a, b]);
         assert_eq!(union.schema(), &[0, 1]);
-        let out = drain(Box::new(union), &mut stats);
+        let out = drain(Box::new(union), &mut stats).unwrap();
         assert_eq!(out.len(), 20);
     }
 
@@ -2596,7 +2650,11 @@ mod tests {
             est_card: n as f64,
         };
         let mut serial_stats = ExecStats::default();
-        let serial = drain(plan.lower(&ds, CoutBucket::Required), &mut serial_stats);
+        let serial = drain(
+            plan.lower(&ds, CoutBucket::Required, crate::exec::OrderExec::Auto),
+            &mut serial_stats,
+        )
+        .unwrap();
 
         let mut reference: Option<(Vec<Vec<Id>>, u64, u64)> = None;
         for threads in [1, 2, 4] {
@@ -2604,8 +2662,9 @@ mod tests {
             let mut stats = ExecStats::default();
             let src = plan
                 .lower_parallel(&ds, CoutBucket::Required, &cfg, &mut stats)
+                .unwrap()
                 .expect("forced config must qualify");
-            let got = drain(Box::new(Gather::new(src)), &mut stats);
+            let got = drain(Box::new(Gather::new(src)), &mut stats).unwrap();
             // Bit-identical to the serial pipeline: same rows, same order.
             let rows: Vec<Vec<Id>> = got.iter().map(|r| r.to_vec()).collect();
             let serial_rows: Vec<Vec<Id>> = serial.iter().map(|r| r.to_vec()).collect();
@@ -2664,7 +2723,11 @@ mod tests {
         };
 
         let mut serial_stats = ExecStats::default();
-        let serial = drain(plan.lower(&ds, CoutBucket::Required), &mut serial_stats);
+        let serial = drain(
+            plan.lower(&ds, CoutBucket::Required, crate::exec::OrderExec::Auto),
+            &mut serial_stats,
+        )
+        .unwrap();
         assert_eq!(serial.len(), 2 * n);
         assert_eq!(serial_stats.build_rows, 0, "all-merge plan builds nothing");
         let serial_rows: Vec<Vec<Id>> = serial.iter().map(|r| r.to_vec()).collect();
@@ -2673,7 +2736,10 @@ mod tests {
         // modes must not be mixed inside one differential signature.
         let off = ExecConfig { order_exec: crate::exec::OrderExec::Off, ..tiny_morsel_cfg(4, 7) };
         let mut off_stats = ExecStats::default();
-        assert!(plan.lower_parallel(&ds, CoutBucket::Required, &off, &mut off_stats).is_none());
+        assert!(plan
+            .lower_parallel(&ds, CoutBucket::Required, &off, &mut off_stats)
+            .unwrap()
+            .is_none());
 
         let mut reference: Option<(u64, u64, u64)> = None;
         for threads in [1, 4] {
@@ -2686,13 +2752,14 @@ mod tests {
                 let mut stats = ExecStats::default();
                 let src = plan
                     .lower_parallel(&ds, CoutBucket::Required, &cfg, &mut stats)
+                    .unwrap()
                     .expect("spine merge joins must lower parallel");
                 assert!(
                     src.exchange.morsel_count() >= 2,
                     "threads={threads} morsel_rows={morsel_rows}: want >= 2 morsels, got {}",
                     src.exchange.morsel_count()
                 );
-                let got = drain(Box::new(Gather::new(src)), &mut stats);
+                let got = drain(Box::new(Gather::new(src)), &mut stats).unwrap();
                 let rows: Vec<Vec<Id>> = got.iter().map(|r| r.to_vec()).collect();
                 assert_eq!(rows, serial_rows, "threads={threads} morsel_rows={morsel_rows}");
                 assert_eq!(stats.cout, serial_stats.cout);
@@ -2718,8 +2785,12 @@ mod tests {
         let ds = chain_dataset(n);
         let pat = pattern(&ds, "p/next", 1, 2, 1);
         let mut serial_stats = ExecStats::default();
-        let serial =
-            HashJoinBuild::build(Box::new(IndexScan::new(&ds, &pat)), &[1], &mut serial_stats);
+        let serial = HashJoinBuild::build(
+            Box::new(IndexScan::new(&ds, &pat, None, None)),
+            &[1],
+            &mut serial_stats,
+        )
+        .unwrap();
         let cfg = tiny_morsel_cfg(4, 131);
         let mut part_stats = ExecStats::default();
         let partitioned =
@@ -2761,10 +2832,11 @@ mod tests {
         let mut stats = ExecStats::default();
         let src = plan
             .lower_parallel(&ds, CoutBucket::Required, &cfg, &mut stats)
+            .unwrap()
             .expect("forced config must qualify");
         let mut gather = Gather::new(src);
         // Pull one batch, then stop — as a satisfied LIMIT would.
-        assert!(gather.next_batch(&mut stats).is_some());
+        assert!(gather.next_batch(&mut stats).unwrap().is_some());
         // At most one wave of driving rows was scanned on top of the
         // (eagerly built) build side.
         let wave_rows = (MORSELS_PER_WAVE * 64) as u64;
@@ -2798,7 +2870,11 @@ mod tests {
             est_card: n as f64,
         };
         let mut stream_stats = ExecStats::default();
-        let got = drain(plan.lower(&ds, CoutBucket::Required), &mut stream_stats);
+        let got = drain(
+            plan.lower(&ds, CoutBucket::Required, crate::exec::OrderExec::Auto),
+            &mut stream_stats,
+        )
+        .unwrap();
 
         // Three-hop paths exist for i in 0..n-2; Cout sums both joins.
         assert_eq!(got.len(), n - 2);

@@ -18,7 +18,7 @@ use parambench_rdf::store::Dataset;
 use parambench_rdf::term::Term;
 
 use crate::ast::{AggFunc, BinOp, Expr, OrderTarget, Projection, SelectQuery};
-use crate::error::QueryError;
+use crate::error::{ExecError, QueryError};
 use crate::exec::{self, ExecConfig, ExecStats, OrderExec, Value, UNBOUND};
 use crate::physical::{
     BindJoin, BoxedOperator, CoutBucket, HashJoinBuild, HashJoinProbe, IndexScan, MergeJoin,
@@ -357,16 +357,11 @@ impl PlanNode {
     /// wall-clock time and touched data volume change.
     ///
     /// `bucket` routes the joins' output cardinalities into the required
-    /// or OPTIONAL `Cout` accumulator of [`crate::exec::ExecStats`].
-    pub fn lower<'a>(&self, ds: &'a Dataset, bucket: CoutBucket) -> BoxedOperator<'a> {
-        self.lower_with(ds, bucket, OrderExec::Auto)
-    }
-
-    /// [`PlanNode::lower`] with an explicit order-execution mode. Under
+    /// or OPTIONAL `Cout` accumulator of [`crate::exec::ExecStats`]. Under
     /// [`OrderExec::Off`] a [`PlanNode::MergeJoin`] lowers through the
     /// hash/bind machinery instead (same rows, same order, same `Cout` —
     /// the baseline the order differential suite compares against).
-    pub fn lower_with<'a>(
+    pub fn lower<'a>(
         &self,
         ds: &'a Dataset,
         bucket: CoutBucket,
@@ -374,7 +369,7 @@ impl PlanNode {
     ) -> BoxedOperator<'a> {
         match self {
             PlanNode::Scan { pattern, order, .. } => {
-                Box::new(IndexScan::with_order(ds, pattern, *order))
+                Box::new(IndexScan::new(ds, pattern, *order, None))
             }
             PlanNode::HashJoin { left, right, join_vars, .. } => {
                 self.lower_hashish(ds, bucket, order_exec, left, right, join_vars)
@@ -389,8 +384,8 @@ impl PlanNode {
                     // stay bit-identical — the property the order
                     // differential suite pins.
                     return Box::new(HashJoinProbe::new(
-                        left.lower_with(ds, bucket, order_exec),
-                        right.lower_with(ds, bucket, order_exec),
+                        left.lower(ds, bucket, order_exec),
+                        right.lower(ds, bucket, order_exec),
                         key.clone(),
                         true,
                         self.signature().0,
@@ -398,8 +393,8 @@ impl PlanNode {
                     ));
                 }
                 Box::new(MergeJoin::new(
-                    left.lower_with(ds, bucket, order_exec),
-                    right.lower_with(ds, bucket, order_exec),
+                    left.lower(ds, bucket, order_exec),
+                    right.lower(ds, bucket, order_exec),
                     key,
                     self.signature().0,
                     bucket,
@@ -426,7 +421,7 @@ impl PlanNode {
             };
             return Box::new(BindJoin::new(
                 ds,
-                left.lower_with(ds, bucket, order_exec),
+                left.lower(ds, bucket, order_exec),
                 pattern.clone(),
                 join_vars,
                 self.signature().0,
@@ -435,8 +430,8 @@ impl PlanNode {
         }
         let build_right = right.est_card() <= left.est_card();
         Box::new(HashJoinProbe::new(
-            left.lower_with(ds, bucket, order_exec),
-            right.lower_with(ds, bucket, order_exec),
+            left.lower(ds, bucket, order_exec),
+            right.lower(ds, bucket, order_exec),
             join_vars.to_vec(),
             build_right,
             self.signature().0,
@@ -510,18 +505,19 @@ impl PlanNode {
     /// `cfg.min_est_cost` stay on the exact serial [`PlanNode::lower`]
     /// path. The decision reads only estimates and exact extents — never
     /// `cfg.threads` — so the same plan is chosen at every thread count
-    /// and results stay bit-identical.
+    /// and results stay bit-identical. `Err` is a failure while
+    /// materializing a serially built shared hash side.
     pub fn lower_parallel<'a>(
         &self,
         ds: &'a Dataset,
         bucket: CoutBucket,
         cfg: &ExecConfig,
         stats: &mut ExecStats,
-    ) -> Option<ParallelSource<'a>> {
+    ) -> Result<Option<ParallelSource<'a>>, ExecError> {
         if self.leaf_count() < 2
             || !Self::cost_qualifies(self.est_cout(), self.est_card(), cfg.min_est_cost)
         {
-            return None;
+            return Ok(None);
         }
         // Pass 1 (read-only): walk the streaming spine to the driving scan
         // and qualify its extent before building anything. A merge join on
@@ -550,7 +546,7 @@ impl PlanNode {
                     if cfg.order_exec == OrderExec::Off
                         || Self::clean_merge_scan(right, key).is_none()
                     {
-                        return None;
+                        return Ok(None);
                     }
                     merge_keys.push(key);
                     node = left;
@@ -558,7 +554,7 @@ impl PlanNode {
             }
         };
         if driver.has_absent() || ds.count(driver.access()) < cfg.min_driver_rows.max(1) {
-            return None;
+            return Ok(None);
         }
         if !merge_keys.is_empty() {
             // Merge steps need a clean driver too: no repeated variables
@@ -571,7 +567,7 @@ impl PlanNode {
             if driver.var_slots().len() != var_positions
                 || merge_keys.iter().any(|k| !driver_slots.starts_with(k))
             {
-                return None;
+                return Ok(None);
             }
         }
 
@@ -632,10 +628,10 @@ impl PlanNode {
                         // merge joins back to the hash lowering exactly
                         // like the serial path does.
                         _ => HashJoinBuild::build(
-                            build_node.lower_with(ds, bucket, cfg.order_exec),
+                            build_node.lower(ds, bucket, cfg.order_exec),
                             join_vars,
                             stats,
-                        ),
+                        )?,
                     };
                     steps.push(SpineStep::Probe {
                         build: Arc::new(build),
@@ -648,7 +644,7 @@ impl PlanNode {
             }
         }
         steps.reverse();
-        Some(ParallelSource::new(ds, driver.clone(), driver_order, steps, cfg, bucket))
+        Ok(Some(ParallelSource::new(ds, driver.clone(), driver_order, steps, cfg, bucket)))
     }
 
     /// Pretty multi-line rendering with estimates, for EXPLAIN output.

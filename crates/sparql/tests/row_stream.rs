@@ -1,8 +1,8 @@
 //! Streaming-output contract: for every modifier epilogue shape the
 //! engine can produce, draining [`parambench_sparql::RowStream`] row by
 //! row yields exactly the rows, order and instrumentation of the
-//! all-at-once `execute` path — the two consumers share `plain_tail`, and
-//! this suite pins that they cannot diverge.
+//! all-at-once `execute` path — `execute` is a collected stream, and
+//! this suite pins that the two cannot diverge.
 
 use parambench_rdf::store::{Dataset, StoreBuilder};
 use parambench_rdf::term::Term;
@@ -63,30 +63,46 @@ fn configs() -> Vec<(&'static str, ExecConfig)> {
 
 #[test]
 fn stream_matches_execute_for_every_epilogue_shape() {
-    let ds = dataset(300);
-    let engine = Engine::new(&ds);
-    for (shape, text) in SHAPES {
-        let prepared = engine.prepare(&parse_query(text).unwrap()).unwrap();
-        for (cfg_name, exec) in configs() {
-            let ctx = format!("shape {shape}, config {cfg_name}");
-            let want = engine.execute_with(&prepared, &exec).unwrap();
+    // 3,000 rows per predicate make every shape's pipeline span several
+    // batches (`BATCH_SIZE` is 1,024).
+    for n in [300, 3000] {
+        let ds = dataset(n);
+        let engine = Engine::new(&ds);
+        for (shape, text) in SHAPES {
+            let prepared = engine.prepare(&parse_query(text).unwrap()).unwrap();
+            for (cfg_name, exec) in configs() {
+                let ctx = format!("shape {shape}, config {cfg_name}, {n} rows");
+                let want = engine.execute_with(&prepared, &exec).unwrap();
 
-            // Row-by-row drain.
-            let mut stream = engine.stream(&prepared, &exec).unwrap();
-            assert_eq!(stream.columns(), &want.results.columns[..], "{ctx}");
-            let mut rows: Vec<Vec<OutVal>> = Vec::new();
-            while let Some(row) = stream.next_row().unwrap_or_else(|e| panic!("{ctx}: {e}")) {
-                rows.push(row);
+                // Row-by-row drain.
+                let mut stream = engine.stream(&prepared, &exec).unwrap();
+                assert_eq!(stream.columns(), &want.results.columns[..], "{ctx}");
+                let mut rows: Vec<Vec<OutVal>> = Vec::new();
+                while let Some(row) = stream.next_row().unwrap_or_else(|e| panic!("{ctx}: {e}")) {
+                    rows.push(row);
+                }
+                assert_eq!(rows, want.results.rows, "streamed rows diverge: {ctx}");
+                let end = stream.finish();
+                assert_eq!(end.cout, want.cout, "streamed Cout diverges: {ctx}");
+                assert_eq!(end.stats.scanned, want.stats.scanned, "streamed scan count: {ctx}");
+                let (got, exp) = (&end.stats, &want.stats);
+                assert_eq!(
+                    got.peak_tuples, exp.peak_tuples,
+                    "streamed peak_tuples diverges: {ctx}"
+                );
+                assert_eq!(
+                    got.sorted_rows, exp.sorted_rows,
+                    "streamed sorted_rows diverges: {ctx}"
+                );
+                assert_eq!(got.build_rows, exp.build_rows, "streamed build_rows diverges: {ctx}");
+                assert_eq!(got.spilled_rows, exp.spilled_rows, "streamed spilled_rows: {ctx}");
+                assert_eq!(got.overlay_rows, exp.overlay_rows, "streamed overlay_rows: {ctx}");
+
+                // Materializing drain (what the serving layer uses).
+                let collected = engine.stream(&prepared, &exec).unwrap().collect_output().unwrap();
+                assert_eq!(collected.results, want.results, "collect_output diverges: {ctx}");
+                assert_eq!(collected.cout, want.cout, "{ctx}");
             }
-            assert_eq!(rows, want.results.rows, "streamed rows diverge: {ctx}");
-            let end = stream.finish();
-            assert_eq!(end.cout, want.cout, "streamed Cout diverges: {ctx}");
-            assert_eq!(end.stats.scanned, want.stats.scanned, "streamed scan count: {ctx}");
-
-            // Materializing drain (what the serving layer uses).
-            let collected = engine.stream(&prepared, &exec).unwrap().collect_output().unwrap();
-            assert_eq!(collected.results, want.results, "collect_output diverges: {ctx}");
-            assert_eq!(collected.cout, want.cout, "{ctx}");
         }
     }
 }
